@@ -195,11 +195,15 @@ def rating_arrays(ratings, axis="users"):
     """Dense (targets, mask) pair from a RatingMatrix, rows along the given axis.
 
     ``axis="users"`` yields one row per user over items; ``axis="items"``
-    transposes that.  Absent entries are zero in both arrays.
+    transposes that.  The mask is 1.0 at every stored rating, a rating of
+    exactly 0.0 included; absent entries are zero in both arrays.
     """
-    dense = ratings.to_csr().toarray()
-    if axis == "items":
-        dense = dense.T
-    elif axis != "users":
+    if axis not in ("users", "items"):
         raise ValueError("axis must be 'users' or 'items'")
-    return dense, (dense != 0).astype(np.float64)
+    dense = np.zeros((ratings.num_users, ratings.num_items))
+    mask = np.zeros_like(dense)
+    dense[ratings.users, ratings.items] = ratings.values
+    mask[ratings.users, ratings.items] = 1.0
+    if axis == "items":
+        return dense.T, mask.T
+    return dense, mask

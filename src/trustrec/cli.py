@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage or input error, 3 numeric failure.
 """
 
 import argparse
+import fcntl
 import hashlib
 import os
 import sys
@@ -251,7 +252,12 @@ def _current_stage(work, stage):
 
 
 class _WorkLock:
-    """One command at a time per work directory."""
+    """One command at a time per work directory.
+
+    Holds an exclusive ``flock`` on ``work/.lock``.  The OS releases it when
+    the holder exits, however it exits, so a killed command never blocks the
+    next one; the empty lock file itself stays in place.
+    """
 
     def __init__(self, work):
         self.path = os.path.join(work, ".lock")
@@ -259,16 +265,17 @@ class _WorkLock:
 
     def __enter__(self):
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        fd = os.open(self.path, os.O_CREAT | os.O_WRONLY, 0o644)
         try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
             raise ConfigError(f"work directory is locked ({self.path}); is another command running?") from None
+        self.fd = fd
         return self
 
     def __exit__(self, *exc):
-        if self.fd is not None:
-            os.close(self.fd)
-            os.remove(self.path)
+        os.close(self.fd)
         return False
 
 

@@ -5,7 +5,10 @@ stepping from ``cur`` after arriving from ``prev``, a candidate ``x`` is
 weighted by edge weight times 1/p when x is prev itself, 1 when x is also a
 neighbor of prev, and 1/q otherwise.  Each start node draws from its own
 seeded generator stream, so walk generation does not depend on the order in
-which nodes are processed.
+which nodes are processed.  ``step_distribution`` is the exact law of one
+step; ``generate_walks`` samples it for all walkers at once, advancing every
+start node's walk in lockstep over the shared CSR arrays, and draws exactly
+the walks a per-step loop over ``step_distribution`` would.
 
 The skip-gram trains input vectors against context vectors with negative
 sampling from the 3/4-power unigram distribution over walk occurrences.
@@ -18,6 +21,7 @@ from scipy import sparse
 from scipy.special import expit
 
 from .graph import symmetrized_adjacency
+from .scatter import add_rows
 
 
 @dataclass
@@ -84,41 +88,100 @@ def step_distribution(adjacency, prev, cur, p, q):
     return candidates, weights / weights.sum()
 
 
-def _walk_from(adjacency, start, length, p, q, rng):
-    walk = [start]
+def _lockstep_round(csr, edge_keys, starts, uniforms, cursor, length, p, q):
+    """One walk from every start node, all advancing together.
+
+    Returns (walks, lengths): row w holds walk w in its first lengths[w]
+    columns.  ``cursor[w]`` indexes the next unused uniform in row w of
+    ``uniforms`` and moves on by one per step taken.
+    """
+    indptr, indices, data = csr
+    n = len(indptr) - 1
+    walks = np.empty((len(starts), length), dtype=np.int64)
+    walks[:, 0] = starts
+    lengths = np.ones(len(starts), dtype=np.int64)
+    live = np.arange(len(starts))
     prev = None
-    cur = start
-    for _ in range(length - 1):
-        candidates, probs = step_distribution(adjacency, prev, cur, p, q)
-        if len(candidates) == 0:
+    cur = starts
+    for step in range(1, length):
+        degrees = indptr[cur + 1] - indptr[cur]
+        moving = degrees > 0  # a dead end stops its walk without a draw
+        live, cur, degrees = live[moving], cur[moving], degrees[moving]
+        if prev is not None:
+            prev = prev[moving]
+        if len(live) == 0:
             break
-        nxt = candidates[np.searchsorted(np.cumsum(probs), rng.random(), side="right")]
-        prev, cur = cur, int(nxt)
-        walk.append(cur)
-    return walk
+        u = uniforms[live, cursor[live]]
+        cursor[live] += 1
+        nxt = np.empty_like(cur)
+        # Walkers at nodes of equal degree d form a (count, d) block whose
+        # row sums, cumulative sums and comparisons reproduce the per-row
+        # weights.sum(), np.cumsum and searchsorted(side="right") bit for bit.
+        order = np.argsort(degrees, kind="stable")
+        bounds = np.flatnonzero(np.diff(degrees[order])) + 1
+        for group in np.split(order, bounds):
+            d = int(degrees[group[0]])
+            slots = indptr[cur[group]][:, None] + np.arange(d)
+            candidates = indices[slots]
+            weights = data[slots]
+            if prev is not None:
+                back = prev[group][:, None]
+                keys = back * n + candidates
+                found = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
+                bias = np.where(edge_keys[found] == keys, 1.0, 1.0 / q)
+                bias[candidates == back] = 1.0 / p
+                weights = weights * bias
+            cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
+            pick = np.minimum((u[group][:, None] >= cdf).sum(axis=1), d - 1)
+            nxt[group] = candidates[np.arange(len(group)), pick]
+        walks[live, step] = nxt
+        lengths[live] += 1
+        prev, cur = cur, nxt
+    return walks, lengths
 
 
 def generate_walks(graph_or_adjacency, config, nodes=None):
     """All biased walks for the graph, grouped per start node.
 
     Every start node with at least one neighbor gets ``num_walks`` walks of
-    up to ``walk_length`` nodes, drawn from its own generator
-    ``default_rng([seed, node])``.  Isolated nodes yield no walks.
+    up to ``walk_length`` nodes; isolated nodes yield no walks.  A walk ends
+    early only at a node with no out-edges, which the symmetrized graph of a
+    TrustGraph never has but a directed adjacency passed in may.
+
+    The walks run in ``num_walks`` rounds; within a round the walks of all
+    start nodes advance in lockstep, one vectorized step per position.  Start
+    node s draws one uniform from ``default_rng([seed, s])`` per step it
+    actually takes, and its next walk goes on from where the last one stopped
+    in that stream.  So the walks are, bit for bit, those of a per-node,
+    per-step loop over ``step_distribution``, and do not depend on the order
+    of ``nodes``.  The result lists each start node's ``num_walks`` walks
+    together, in ``nodes`` order.
     """
     if sparse.issparse(graph_or_adjacency):
         adjacency = sparse.csr_matrix(graph_or_adjacency)
     else:
         adjacency = symmetrized_adjacency(graph_or_adjacency)
-    if nodes is None:
-        nodes = range(adjacency.shape[0])
-    degrees = np.diff(adjacency.indptr)
+    n = adjacency.shape[0]
+    indptr = adjacency.indptr.astype(np.int64)
+    csr = (indptr, adjacency.indices.astype(np.int64), adjacency.data.astype(np.float64))
+    degrees = np.diff(indptr)
+    # sorted row*n + col keys answer "is x a neighbor of prev" by bisection
+    edge_keys = np.sort(np.repeat(np.arange(n, dtype=np.int64), degrees) * n + csr[1])
+    starts = np.arange(n) if nodes is None else np.asarray(list(nodes), dtype=np.int64)
+    starts = starts[degrees[starts] > 0]
+    draws = config.num_walks * (config.walk_length - 1)
+    uniforms = np.empty((len(starts), draws))
+    for row, s in enumerate(starts):
+        uniforms[row] = np.random.default_rng([config.seed, int(s)]).random(draws)
+    cursor = np.zeros(len(starts), dtype=np.int64)
+    rounds = [
+        _lockstep_round(csr, edge_keys, starts, uniforms, cursor, config.walk_length, config.p, config.q)
+        for _ in range(config.num_walks)
+    ]
     walks = []
-    for node in nodes:
-        if degrees[node] == 0:
-            continue
-        rng = np.random.default_rng([config.seed, node])
-        for _ in range(config.num_walks):
-            walks.append(_walk_from(adjacency, node, config.walk_length, config.p, config.q, rng))
+    for row in range(len(starts)):
+        for round_walks, lengths in rounds:
+            walks.append(round_walks[row, : lengths[row]].tolist())
     return walks
 
 
@@ -191,13 +254,9 @@ def train_embeddings(walks, num_nodes, config):
             g_neg = expit(np.einsum("bd,bkd->bk", u, v_neg))
 
             grad_u = g_pos[:, None] * v_pos + np.einsum("bk,bkd->bd", g_neg, v_neg)
-            np.add.at(inputs, c, -lr * grad_u)
-            np.add.at(contexts, o, -lr * (g_pos[:, None] * u))
-            np.add.at(
-                contexts,
-                negs.ravel(),
-                (-lr * (g_neg[:, :, None] * u[:, None, :])).reshape(-1, d),
-            )
+            add_rows(inputs, c, -lr * grad_u)
+            add_rows(contexts, o, -lr * (g_pos[:, None] * u))
+            add_rows(contexts, negs.ravel(), -lr * (g_neg[:, :, None] * u[:, None, :]))
     inputs[unvisited] = 0.0
     return EmbeddingTable(inputs)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .scatter import add_rows
 from .serialize import load_checkpoint, save_checkpoint
 
 
@@ -222,11 +223,11 @@ def gradients(params, ctx, hp, tables=None):
     err = (a * params.Q[:, items]).sum(axis=0) - train.values
 
     gP = np.zeros((params.num_users, params.k))
-    np.add.at(gP, users, (err * params.Q[:, items]).T)
+    add_rows(gP, users, (err * params.Q[:, items]).T)
     gP = gP.T + hp.lam_p * params.P
 
     gQ = np.zeros((params.num_items, params.k))
-    np.add.at(gQ, items, (err * a).T)
+    add_rows(gQ, items, (err * a).T)
     gQ = gQ.T + hp.lam_q * params.Q
 
     gW = (Xg * params.Q[:, items]) @ err + hp.lam_w * params.W
@@ -234,15 +235,15 @@ def gradients(params, ctx, hp, tables=None):
     if len(tables.pair_u):
         diff = hp.lam_t * tables.pair_t * (params.P[:, tables.pair_u] - params.P[:, tables.pair_v])
         scatter = np.zeros((params.num_users, params.k))
-        np.add.at(scatter, tables.pair_u, diff.T)
-        np.add.at(scatter, tables.pair_v, -diff.T)
+        add_rows(scatter, tables.pair_u, diff.T)
+        add_rows(scatter, tables.pair_v, -diff.T)
         gP += scatter.T
     members = np.flatnonzero(tables.user_leaders >= 0)
     if len(members):
         diff = hp.lam_c * (params.P[:, members] - params.P[:, tables.user_leaders[members]])
         scatter = np.zeros((params.num_users, params.k))
-        np.add.at(scatter, members, diff.T)
-        np.add.at(scatter, tables.user_leaders[members], -diff.T)
+        add_rows(scatter, members, diff.T)
+        add_rows(scatter, tables.user_leaders[members], -diff.T)
         gP += scatter.T
     return gP, gQ, gW
 

@@ -13,9 +13,13 @@ Layout, all little-endian:
         float64 data, row-major
 
 Writing the same arrays and metadata twice produces identical bytes; there
-are no timestamps or environment fields.
+are no timestamps or environment fields.  A checkpoint is written to a
+temporary file beside its destination and renamed into place, so the path
+holds either a complete checkpoint or nothing.
 """
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -56,22 +60,33 @@ def save_checkpoint(path, kind, arrays, meta=None):
         meta: optional dict of name -> int.
     """
     meta = meta or {}
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        _write_str(fh, kind)
-        fh.write(struct.pack("<I", len(meta)))
-        for key in sorted(meta):
-            _write_str(fh, key)
-            fh.write(struct.pack("<q", int(meta[key])))
-        fh.write(struct.pack("<I", len(arrays)))
-        for name in sorted(arrays):
-            arr = np.ascontiguousarray(np.asarray(arrays[name], dtype=np.float64))
-            _write_str(fh, name)
-            fh.write(struct.pack("<I", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<q", dim))
-            fh.write(arr.tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            _write_body(fh, kind, arrays, meta)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _write_body(fh, kind, arrays, meta):
+    fh.write(_MAGIC)
+    fh.write(struct.pack("<I", _VERSION))
+    _write_str(fh, kind)
+    fh.write(struct.pack("<I", len(meta)))
+    for key in sorted(meta):
+        _write_str(fh, key)
+        fh.write(struct.pack("<q", int(meta[key])))
+    fh.write(struct.pack("<I", len(arrays)))
+    for name in sorted(arrays):
+        arr = np.ascontiguousarray(np.asarray(arrays[name], dtype=np.float64))
+        _write_str(fh, name)
+        fh.write(struct.pack("<I", arr.ndim))
+        for dim in arr.shape:
+            fh.write(struct.pack("<q", dim))
+        fh.write(arr.tobytes())
 
 
 def load_checkpoint(path, expect_kind=None):

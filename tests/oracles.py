@@ -5,6 +5,9 @@ direct formula transcription.  Slow is fine, these only ever see small inputs.
 """
 
 import numpy as np
+from scipy import sparse
+
+from trustrec.embed import step_distribution
 
 
 def central_difference(fn, x, step=1e-5):
@@ -142,3 +145,34 @@ def plain_mf_objective(P, Q, users, items, values, lam_p, lam_q):
     total += 0.5 * lam_p * float((P * P).sum())
     total += 0.5 * lam_q * float((Q * Q).sum())
     return total
+
+
+def reference_walks(adjacency, config, nodes=None):
+    """Biased walks drawn one node and one step at a time.
+
+    Each start node with a neighbor gets ``num_walks`` walks from its own
+    ``default_rng([seed, node])``, one uniform per step taken, each step
+    sampled by a cumulative-sum search over ``step_distribution``.  A walk
+    stops early at a node with no out-edges.
+    """
+    adjacency = sparse.csr_matrix(adjacency)
+    if nodes is None:
+        nodes = range(adjacency.shape[0])
+    degrees = np.diff(adjacency.indptr)
+    walks = []
+    for node in nodes:
+        if degrees[node] == 0:
+            continue
+        rng = np.random.default_rng([config.seed, node])
+        for _ in range(config.num_walks):
+            walk = [node]
+            prev, cur = None, node
+            for _ in range(config.walk_length - 1):
+                candidates, probs = step_distribution(adjacency, prev, cur, config.p, config.q)
+                if len(candidates) == 0:
+                    break
+                pick = np.searchsorted(np.cumsum(probs), rng.random(), side="right")
+                prev, cur = cur, int(candidates[pick])
+                walk.append(cur)
+            walks.append(walk)
+    return walks

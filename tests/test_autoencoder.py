@@ -249,6 +249,14 @@ class TestRatingArrays:
         assert t_items.shape == (3, 2)
         np.testing.assert_array_equal(t_items, t_users.T)
 
+    def test_zero_rating_is_observed(self, make_ratings):
+        ratings = make_ratings([(0, 0, 0.0), (1, 1, 1.5)], 2, 2, r_min=-2.0, r_max=2.0)
+        for axis in ("users", "items"):
+            targets, mask = rating_arrays(ratings, axis=axis)
+            assert mask.sum() == 2
+            assert mask[0, 0] == 1.0 and targets[0, 0] == 0.0
+            assert mask[1, 1] == 1.0 and targets[1, 1] == 1.5
+
     def test_unknown_axis_rejected(self, make_ratings):
         ratings = make_ratings([(0, 0, 1.0)], 1, 1)
         with pytest.raises(ValueError):

@@ -1,8 +1,13 @@
+import fcntl
 import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import trustrec
 from trustrec.cli import (
     DEFAULTS,
     ConfigError,
@@ -244,8 +249,36 @@ class TestPipeline:
         tmp_path, config_path = workspace
         config = config_path(work="locked")
         os.makedirs(tmp_path / "locked", exist_ok=True)
-        (tmp_path / "locked" / ".lock").touch()
-        assert self.run(config, "prepare") == 2
+        with open(tmp_path / "locked" / ".lock", "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert self.run(config, "prepare") == 2
+        assert self.run(config, "prepare") == 0
+
+    def test_killed_command_leaves_no_lock(self, workspace):
+        tmp_path, config_path = workspace
+        config = config_path(work="killed")
+        holder = (
+            "import sys, time\n"
+            "from trustrec.cli import _WorkLock\n"
+            "with _WorkLock(sys.argv[1]):\n"
+            "    print('locked', flush=True)\n"
+            "    time.sleep(60)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(trustrec.__file__)))
+        child = subprocess.Popen(
+            [sys.executable, "-c", holder, str(tmp_path / "killed")],
+            stdout=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        try:
+            assert child.stdout.readline().strip() == "locked"
+            assert self.run(config, "prepare") == 2
+        finally:
+            child.send_signal(signal.SIGKILL)
+            child.wait()
+            child.stdout.close()
+        assert self.run(config, "prepare") == 0
 
     def test_report_without_work_or_config_exits_2(self):
         assert main(["report"]) == 2

@@ -4,7 +4,7 @@ from itertools import combinations
 from scipy import sparse
 from scipy.special import expit
 
-from oracles import central_difference, gradient_gap
+from oracles import central_difference, gradient_gap, reference_walks
 from trustrec.data import TrustGraph
 from trustrec.embed import (
     EmbeddingTable,
@@ -148,6 +148,62 @@ class TestGenerateWalks:
         for w in generate_walks(g, config):
             for a, b in zip(w, w[1:]):
                 assert adj[a, b] > 0
+
+
+def weighted_graph(n=40, density=0.3, isolated=(), seed=0):
+    """Random symmetric weighted adjacency; degrees reach past 8, where
+    numpy's pairwise summation departs from a sequential sum."""
+    rng = np.random.default_rng(seed)
+    dense = rng.random((n, n)) * (rng.random((n, n)) < density)
+    dense = np.maximum(dense, dense.T)
+    np.fill_diagonal(dense, 0.0)
+    for node in isolated:
+        dense[node, :] = dense[:, node] = 0.0
+    return sparse.csr_matrix(dense)
+
+
+def dead_end_graph():
+    """Directed 0->1, 1->2, 2->0 (weight 2), 0->3; node 3 has no out-edge."""
+    rows, cols, vals = [0, 1, 2, 0], [1, 2, 0, 3], [1.0, 1.0, 2.0, 1.0]
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(4, 4))
+
+
+class TestWalkOracle:
+    """generate_walks must draw exactly the walks of the per-step loop."""
+
+    @pytest.mark.parametrize("p, q", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.5)])
+    def test_weighted_undirected(self, p, q):
+        adj = weighted_graph()
+        assert np.diff(adj.indptr).max() > 8
+        config = WalkConfig(dimensions=2, num_walks=3, walk_length=15, p=p, q=q, seed=7)
+        assert generate_walks(adj, config) == reference_walks(adj, config)
+
+    def test_directed_dead_end(self):
+        adj = dead_end_graph()
+        config = WalkConfig(dimensions=2, num_walks=3, walk_length=8, p=0.5, q=2.0, seed=3)
+        walks = generate_walks(adj, config)
+        assert walks[:2] == [[0, 1, 2, 0, 3], [0, 1, 2, 0, 1, 2, 0, 1]]
+        assert walks == reference_walks(adj, config)
+
+    def test_shuffled_node_subset(self):
+        adj = weighted_graph(seed=1)
+        nodes = np.random.default_rng(2).permutation(40)[:15].tolist()
+        config = WalkConfig(dimensions=2, num_walks=3, walk_length=10, p=0.5, q=2.0, seed=4)
+        assert generate_walks(adj, config, nodes=nodes) == reference_walks(adj, config, nodes=nodes)
+
+    def test_walk_length_one(self):
+        adj = weighted_graph(seed=2, isolated=(5,))
+        config = WalkConfig(dimensions=2, num_walks=3, walk_length=1, seed=5)
+        walks = generate_walks(adj, config)
+        assert walks == reference_walks(adj, config)
+        assert walks == [[node] for node in range(40) if node != 5 for _ in range(3)]
+
+    def test_isolated_nodes(self):
+        adj = weighted_graph(density=0.1, isolated=(0, 17, 39), seed=3)
+        config = WalkConfig(dimensions=2, num_walks=4, walk_length=12, p=2.0, q=0.5, seed=6)
+        walks = generate_walks(adj, config)
+        assert walks == reference_walks(adj, config)
+        assert not {0, 17, 39} & {w[0] for w in walks}
 
 
 class TestSkipGram:

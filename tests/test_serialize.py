@@ -4,6 +4,25 @@ import pytest
 from trustrec.serialize import CheckpointError, load_checkpoint, save_checkpoint
 
 
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "half.ckpt"
+        # "a" is written first; "b" cannot be converted to float64 and raises
+        arrays = {"a": np.arange(1000.0), "b": ["not a number"]}
+        with pytest.raises(ValueError):
+            save_checkpoint(path, "demo", arrays)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rewrite_keeps_the_old_checkpoint(self, tmp_path):
+        path = tmp_path / "keep.ckpt"
+        save_checkpoint(path, "demo", {"a": np.ones(3)})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_checkpoint(path, "demo", {"a": np.zeros(3), "b": ["not a number"]})
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+
 class TestRoundTrip:
     def test_arrays_and_meta_survive(self, tmp_path):
         path = tmp_path / "a.ckpt"
