@@ -2,17 +2,19 @@
 
 The pipeline runs from a flat ``key = value`` config file with dotted section
 prefixes (see DEFAULTS for every key).  Each stage writes its artifacts into
-a work-directory folder named by a content hash of the stage's config section
-plus its upstream artifacts, so reruns reuse finished stages and any config
-change recomputes exactly the affected stages.  All stages are seeded and
-artifacts carry no timestamps: identical configs produce byte-identical
-outputs.
+a work-directory folder named by a content hash of the stage's config section,
+its upstream artifacts and the package's source code.  Reruns reuse finished
+stages, any config change recomputes exactly the affected stages, and a
+changed program never reads artifacts that another version wrote.  All stages
+are seeded and artifacts carry no timestamps: identical configs produce
+byte-identical outputs.
 
 Exit codes: 0 success, 2 usage or input error, 3 numeric failure.
 """
 
 import argparse
 import fcntl
+import functools
 import hashlib
 import os
 import sys
@@ -208,9 +210,21 @@ def build_config(raw, seed_override=None, work_override=None):
     return config, values
 
 
-def _hash_bytes(*chunks):
+def _code_digest():
+    """Digest of every source file of this package, by name and content."""
+    root = os.path.dirname(os.path.abspath(__file__))
     digest = hashlib.sha256()
-    for chunk in chunks:
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name), "rb") as fh:
+                digest.update(name.encode() + b"\x00" + fh.read() + b"\x00")
+    return digest.hexdigest()
+
+
+def _stage_key(*chunks):
+    """Short hash naming a stage's folder: its inputs plus the program's code."""
+    digest = hashlib.sha256()
+    for chunk in (_code_digest(), *chunks):
         digest.update(chunk if isinstance(chunk, bytes) else str(chunk).encode())
         digest.update(b"\x00")
     return digest.hexdigest()[:12]
@@ -284,7 +298,7 @@ def cmd_prepare(config, values):
     for path in (config.ratings_path, config.trust_path):
         if not path or not os.path.exists(path):
             raise ConfigError(f"input file not found: {path!r}")
-    key = _hash_bytes(
+    key = _stage_key(
         _render(values, ("data", "split")),
         _hash_file(config.ratings_path),
         _hash_file(config.trust_path),
@@ -334,12 +348,12 @@ def _check_finite(name, *arrays):
             raise NumericError(f"non-finite values in {name}")
 
 
-def _autoencoder_stage(config, values, prep_key):
-    key = _hash_bytes(_render(values, ("autoencoder",)), values["model.k"], prep_key)
+def _autoencoder_stage(config, values, prep_key, prepared):
+    key = _stage_key(_render(values, ("autoencoder",)), values["model.k"], prep_key)
     out = _stage_dir(config.work_dir, "autoencoder", key)
     path = os.path.join(out, "codes.ckpt")
     if not os.path.exists(path):
-        _, train_split, _, _ = _load_prepared(config)
+        _, train_split, _, _ = prepared()
         user_cfg = config.autoencoder
         item_cfg = replace(user_cfg, seed=user_cfg.seed + 1)
         init_p, init_q = evaluation.autoencoder_inits(
@@ -352,12 +366,12 @@ def _autoencoder_stage(config, values, prep_key):
     return path
 
 
-def _graph_stage(config, values, prep_key):
-    key = _hash_bytes(_render(values, ("graph",)), prep_key)
+def _graph_stage(config, values, prep_key, prepared):
+    key = _stage_key(_render(values, ("graph",)), prep_key)
     out = _stage_dir(config.work_dir, "graph", key)
     path = os.path.join(out, "graph.ckpt")
     if not os.path.exists(path):
-        _, _, _, trust = _load_prepared(config)
+        _, _, _, trust = prepared()
         communities = louvain(trust, seed=config.graph.louvain_seed)
         kwargs = {"damping": config.graph.damping} if config.graph.centrality == "pagerank" else {}
         leaders = community_leaders(trust, communities, method=config.graph.centrality, **kwargs)
@@ -391,12 +405,12 @@ def _load_graph_stage(path, decay, max_depth):
     return communities, leaders, propagated
 
 
-def _embed_stage(config, values, prep_key):
-    key = _hash_bytes(_render(values, ("walks",)), prep_key)
+def _embed_stage(config, values, prep_key, prepared):
+    key = _stage_key(_render(values, ("walks",)), prep_key)
     out = _stage_dir(config.work_dir, "embed", key)
     path = os.path.join(out, "embeddings.ckpt")
     if not os.path.exists(path):
-        _, _, _, trust = _load_prepared(config)
+        _, _, _, trust = prepared()
         table = node_embeddings(trust, config.walks)
         _check_finite("embeddings", table.vectors)
         os.makedirs(out, exist_ok=True)
@@ -409,11 +423,13 @@ def cmd_train(config, values):
     """Autoencoders, graph analysis, embeddings, then factor-model SGD."""
     prep = _current_stage(config.work_dir, "prepare")
     prep_key = os.path.basename(prep).split("-", 1)[1]
-    ae_path = _autoencoder_stage(config, values, prep_key)
-    graph_path = _graph_stage(config, values, prep_key)
-    embed_path = _embed_stage(config, values, prep_key)
+    # parsed at most once, and only if some stage misses the cache
+    prepared = functools.cache(lambda: _load_prepared(config))
+    ae_path = _autoencoder_stage(config, values, prep_key, prepared)
+    graph_path = _graph_stage(config, values, prep_key, prepared)
+    embed_path = _embed_stage(config, values, prep_key, prepared)
 
-    key = _hash_bytes(
+    key = _stage_key(
         _render(values, ("model",)),
         _hash_file(ae_path),
         _hash_file(graph_path),
@@ -422,7 +438,7 @@ def cmd_train(config, values):
     out = _stage_dir(config.work_dir, "train", key)
     ckpt = os.path.join(out, "model.ckpt")
     if not os.path.exists(ckpt):
-        _, train_split, _, _ = _load_prepared(config)
+        _, train_split, _, _ = prepared()
         _, arrays, _ = load_checkpoint(ae_path, expect_kind="ae-codes")
         communities, leaders, propagated = _load_graph_stage(
             graph_path, config.graph.decay, config.graph.max_depth
@@ -480,7 +496,11 @@ def cmd_evaluate(config, values, ablate=False, baseline_mean=False):
             leaders=leaders,
         )
         reports = evaluation.run_ablations(
-            ctx, config.model, test_split, ae_init=(arrays["init_P"], arrays["init_Q"])
+            ctx,
+            config.model,
+            test_split,
+            ae_init=(arrays["init_P"], arrays["init_Q"]),
+            full_params=params,
         )
     if baseline_mean:
         reports.append(

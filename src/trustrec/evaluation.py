@@ -85,27 +85,32 @@ def autoencoder_inits(train_split, k, user_config, item_config):
     """Pretrain both autoencoders and return (init_P, init_Q) code matrices.
 
     The user stack reconstructs rating rows, the item stack rating columns;
-    the code layers (width k) become the factor initializations.
+    the code layers (width k) become the factor initializations.  Both sides
+    stay sparse (``autoencoder.rating_rows``), so memory grows with the
+    number of ratings, not with users × items.
     """
-    targets, mask = ae.rating_arrays(train_split, axis="users")
-    user_model = ae.train_autoencoder(targets, mask, user_config)
-    init_P = ae.encode(user_model, targets, mask).T
-    targets, mask = ae.rating_arrays(train_split, axis="items")
-    item_model = ae.train_autoencoder(targets, mask, item_config)
-    init_Q = ae.encode(item_model, targets, mask).T
+    codes = []
+    for axis, config in (("users", user_config), ("items", item_config)):
+        rows = ae.rating_rows(train_split, axis=axis)
+        model = ae.train_autoencoder(rows, None, config)
+        codes.append(ae.encode(model, rows).T)
+    init_P, init_Q = codes
     if init_P.shape[0] != k or init_Q.shape[0] != k:
         raise ValueError(f"autoencoder code width {init_P.shape[0]} does not match k={k}")
     return init_P, init_Q
 
 
-def run_ablations(ctx, hp, test, ae_init=None):
+def run_ablations(ctx, hp, test, ae_init=None, full_params=None):
     """Train and score the five-variant ladder on one shared split.
 
     Variants add one ingredient at a time: plain randomly initialized MF,
     then autoencoder initialization, the trust term, the leader term, and
     finally the embedding pathway.  When ``ae_init`` is None the autoencoder
     variants fall back to the random initialization, so the ladder still runs
-    (and reports the degenerate comparison) without pretraining.
+    (and reports the degenerate comparison) without pretraining.  The last
+    variant is the full model: ``full_params``, when given, must be that
+    model already trained on ``ctx`` from ``ae_init`` with ``hp``, and is
+    scored as it is instead of being trained again.
     """
     ctx.validate()
     m, n = ctx.train.num_users, ctx.train.num_items
@@ -122,7 +127,10 @@ def run_ablations(ctx, hp, test, ae_init=None):
     )
     reports = []
     for tag, (init_P, init_Q), variant_ctx in variants:
-        params, _ = train(variant_ctx, hp, init_P, init_Q)
+        if tag == ABLATION_TAGS[-1] and full_params is not None:
+            params = full_params
+        else:
+            params, _ = train(variant_ctx, hp, init_P, init_Q)
         reports.append(
             evaluate(params, variant_ctx.embeddings, test, model_tag=tag, seed=hp.seed)
         )

@@ -7,6 +7,7 @@ direct formula transcription.  Slow is fine, these only ever see small inputs.
 import numpy as np
 from scipy import sparse
 
+from trustrec.autoencoder import init_autoencoder, selu, selu_grad
 from trustrec.embed import step_distribution
 
 
@@ -176,3 +177,69 @@ def reference_walks(adjacency, config, nodes=None):
                 walk.append(cur)
             walks.append(walk)
     return walks
+
+
+def dense_forward(model, x_masked):
+    """The autoencoder stack evaluated at every position of dense inputs.
+
+    Returns (activations, pre_activations); activations[0] is the input and
+    activations[-1] the full-width reconstruction.
+    """
+    acts = [x_masked]
+    pres = []
+    h = x_masked
+    for w, b in zip(model.weights, model.biases):
+        z = h @ w + b
+        h = selu(z)
+        pres.append(z)
+        acts.append(h)
+    return acts, pres
+
+
+def dense_loss_and_gradients(model, targets, mask):
+    """Masked reconstruction loss and gradients through full-width layers.
+
+    Inputs are ``targets * mask``; every layer, the visible-width ones
+    included, is a dense product, and the loss is masked afterwards.
+    """
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    mask = np.atleast_2d(np.asarray(mask, dtype=np.float64))
+    acts, pres = dense_forward(model, targets * mask)
+    observed = mask.sum()
+    w_grads = [np.zeros_like(w) for w in model.weights]
+    b_grads = [np.zeros_like(b) for b in model.biases]
+    if observed == 0:
+        return 0.0, w_grads, b_grads
+
+    diff = (acts[-1] - targets) * mask
+    loss = float((diff * diff).sum() / observed)
+    delta = (2.0 / observed) * diff * selu_grad(pres[-1])
+    for layer in reversed(range(len(model.weights))):
+        w_grads[layer] = acts[layer].T @ delta
+        b_grads[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ model.weights[layer].T) * selu_grad(pres[layer - 1])
+    return loss, w_grads, b_grads
+
+
+def dense_train_codes(targets, mask, config):
+    """Mini-batch SGD through ``dense_loss_and_gradients``; (model, codes).
+
+    Same generator use as ``train_autoencoder``: one seeded stream that draws
+    the initial weights, then one row permutation per epoch.
+    """
+    targets = np.asarray(targets, dtype=np.float64)
+    mask = np.asarray(mask, dtype=np.float64)
+    rng = np.random.default_rng(config.seed)
+    model = init_autoencoder(targets.shape[1], config, rng)
+    n = targets.shape[0]
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            rows = order[start : start + config.batch_size]
+            _, w_grads, b_grads = dense_loss_and_gradients(model, targets[rows], mask[rows])
+            for w, b, gw, gb in zip(model.weights, model.biases, w_grads, b_grads):
+                w -= config.learning_rate * gw
+                b -= config.learning_rate * gb
+    acts, _ = dense_forward(model, targets * mask)
+    return model, acts[model.code_layer]

@@ -1,19 +1,31 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import central_difference, gradient_gap
+from oracles import (
+    central_difference,
+    dense_forward,
+    dense_loss_and_gradients,
+    dense_train_codes,
+    gradient_gap,
+)
 from trustrec.autoencoder import (
     SELU_ALPHA,
     SELU_LAMBDA,
     AutoencoderConfig,
+    RatingRows,
     encode,
     forward,
     init_autoencoder,
     loss_and_gradients,
     masked_mse,
     rating_arrays,
+    rating_rows,
     train_autoencoder,
 )
+from trustrec.data import RatingMatrix
+from trustrec.evaluation import autoencoder_inits
 
 
 def tiny_config(**overrides):
@@ -261,3 +273,101 @@ class TestRatingArrays:
         ratings = make_ratings([(0, 0, 1.0)], 1, 1)
         with pytest.raises(ValueError):
             rating_arrays(ratings, axis="columns")
+
+
+def relative_gap(a, b):
+    """Worst-entry difference over the reference's largest magnitude."""
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+def sparse_fixture(seed, rows=12, cols=9, density=0.35):
+    """Dense targets and mask with an empty row, an empty column and a 0.0 rating."""
+    rng = np.random.default_rng(seed)
+    targets = rng.uniform(-2.0, 2.0, size=(rows, cols))
+    mask = (rng.random((rows, cols)) < density).astype(float)
+    mask[3] = 0.0
+    mask[:, 5] = 0.0
+    mask[0, 0] = 1.0
+    targets[0, 0] = 0.0
+    # junk at unobserved positions must not matter to either path
+    return targets + 1e6 * (1.0 - mask) * (targets < 0), mask
+
+
+class TestSparseMatchesDenseOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_loss_and_gradients(self, seed):
+        targets, mask = sparse_fixture(seed)
+        model = init_autoencoder(9, tiny_config(hidden_sizes=(7, 4, 7)), np.random.default_rng(seed))
+        batches = [np.arange(12), np.array([3]), np.array([0]), np.array([7, 3, 11])]
+        for rows in batches:
+            want = dense_loss_and_gradients(model, targets[rows], mask[rows])
+            got = loss_and_gradients(model, targets[rows], mask[rows])
+            sparse_rows = RatingRows.from_dense(targets, mask).take(rows)
+            got_sparse = loss_and_gradients(model, sparse_rows)
+            if mask[rows].sum() == 0:
+                assert got[0] == want[0] == 0.0
+                for grads in (*got[1:], *got_sparse[1:]):
+                    assert all(not g.any() for g in grads)
+                continue
+            assert abs(got[0] - want[0]) <= 1e-12 * want[0]
+            assert got_sparse[0] == got[0]
+            for kind in (1, 2):
+                for g, gs, w in zip(got[kind], got_sparse[kind], want[kind]):
+                    assert g.shape == w.shape
+                    assert relative_gap(g, w) < 1e-12
+                    np.testing.assert_array_equal(gs, g)
+
+    def test_trained_codes_match_dense_training(self):
+        targets, mask = sparse_fixture(4, rows=40, cols=15, density=0.3)
+        config = AutoencoderConfig(
+            hidden_sizes=(8, 3, 8), learning_rate=0.05, batch_size=6, epochs=8, seed=4
+        )
+        _, want = dense_train_codes(targets, mask, config)
+        model = train_autoencoder(targets, mask, config)
+        got = encode(model, targets, mask)
+        assert np.abs(got - want).max() < 1e-10
+
+    def test_dense_forward_output_matches_oracle(self):
+        rng = np.random.default_rng(3)
+        model = init_autoencoder(6, tiny_config(seed=3), rng)
+        x = rng.normal(size=(4, 6))
+        got, got_pre = forward(model, x)
+        want, want_pre = dense_forward(model, x)
+        assert got[-1].shape == (4, 6)
+        assert relative_gap(got[-1], want[-1]) < 1e-12
+        assert relative_gap(got_pre[-1], want_pre[-1]) < 1e-12
+
+    def test_rating_rows_hold_every_stored_rating(self, make_ratings):
+        ratings = make_ratings([(0, 0, 0.0), (0, 2, 1.0), (1, 1, -1.5)], 3, 3, r_min=-2.0, r_max=2.0)
+        users = rating_rows(ratings, axis="users")
+        items = rating_rows(ratings, axis="items")
+        assert (len(users), users.num_visible, users.matrix.nnz) == (3, 3, 3)
+        assert (len(items), items.num_visible, items.matrix.nnz) == (3, 3, 3)
+        np.testing.assert_array_equal(users.values, [0.0, 1.0, -1.5])
+        np.testing.assert_array_equal(items.entry_rows, [0, 1, 2])
+        np.testing.assert_array_equal(items.matrix.indices, [0, 1, 0])
+
+    def test_mask_with_sparse_batch_rejected(self):
+        rows = RatingRows.from_dense(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            loss_and_gradients(init_autoencoder(3, tiny_config(), np.random.default_rng(0)), rows, np.ones((2, 3)))
+
+
+def test_autoencoder_inits_never_allocates_a_dense_side():
+    users, items, density = 4000, 6000, 0.005
+    rng = np.random.default_rng(0)
+    flat = np.sort(rng.choice(users * items, size=int(users * items * density), replace=False))
+    ratings = RatingMatrix(users, items, flat // items, flat % items, rng.uniform(1.0, 5.0, len(flat)))
+    config = AutoencoderConfig(epochs=1, seed=0)
+    # one users × items float64 array; a dense side is two of them
+    dense_array_mb = 8 * users * items / 2**20
+    tracemalloc.start()
+    try:
+        init_P, init_Q = autoencoder_inits(ratings, 10, config, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert init_P.shape == (10, users) and init_Q.shape == (10, items)
+    peak_mb = peak / 2**20
+    assert peak_mb < dense_array_mb, f"peak {peak_mb:.1f} MB against {dense_array_mb:.0f} MB for one dense array"

@@ -1,13 +1,18 @@
 import fcntl
+import importlib.util
+import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trustrec
+from trustrec import cli
 from trustrec.cli import (
     DEFAULTS,
     ConfigError,
@@ -194,6 +199,70 @@ class TestPipeline:
         assert second["train"] != first["train"] and len(second["train"]) == 2
         for stage in ("prepare", "autoencoder", "graph", "embed"):
             assert second[stage] == first[stage]
+
+    def test_train_parses_prepared_data_once(self, workspace, monkeypatch):
+        _, config_path = workspace
+        config = config_path()
+        assert self.run(config, "prepare") == 0
+        loaded = []
+
+        def counting(path, *args, **kwargs):
+            loaded.append(os.path.basename(path))
+            return load_ratings(path, *args, **kwargs)
+
+        load_ratings = cli.load_ratings
+        monkeypatch.setattr(cli, "load_ratings", counting)
+        assert self.run(config, "train") == 0
+        assert sorted(loaded) == ["test.txt", "train.txt"]
+        loaded.clear()
+        assert self.run(config, "train") == 0
+        assert loaded == []
+
+    def test_changed_source_misses_the_stage_cache(self, workspace):
+        tmp_path, config_path = workspace
+        config = config_path()
+        package = tmp_path / "pkg" / "trustrec"
+        shutil.copytree(os.path.dirname(trustrec.__file__), package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=str(package.parent))
+
+        def prepare():
+            subprocess.run(
+                [sys.executable, "-m", "trustrec.cli", "--config", config, "prepare"],
+                env=env, check=True,
+            )
+            return sorted(d for d in os.listdir(tmp_path / "work") if d.startswith("prepare-"))
+
+        first = prepare()
+        assert prepare() == first
+        with open(package / "synth.py", "a") as fh:
+            fh.write("\n# edited\n")
+        second = prepare()
+        assert len(first) == 1 and len(second) == 2
+
+    def test_perfbench_tracer_sees_every_layer(self, workspace):
+        _, config_path = workspace
+        config = config_path()
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location("perfbench_spans", root / "perfbench" / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+        # the trace.* metrics compare a traced round with an untraced one
+        expected = {m["name"] for m in declared if not m["name"].startswith("trace.")}
+
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            for command in (("prepare",), ("train",), ("evaluate", "--ablate")):
+                assert self.run(config, *command) == 0
+        finally:
+            tracer.uninstall()
+        metrics = spans.layer_metrics(tracer.spans, 0)
+        assert expected <= metrics.keys()
+        assert metrics["autoencoder.batches"][0] > 0
+        assert metrics["model.epochs"][0] > 0
+        assert all(s.end is not None for s in tracer.spans)
 
     def test_seed_flag_changes_training_artifacts(self, workspace):
         tmp_path, config_path = workspace

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trustrec import evaluation
 from trustrec.autoencoder import AutoencoderConfig
 from trustrec.data import RatingMatrix, SplitSpec, split
 from trustrec.evaluation import (
@@ -14,7 +15,7 @@ from trustrec.evaluation import (
     run_ablations,
     write_reports,
 )
-from trustrec.model import HyperParams, ModelParams, TrainingContext
+from trustrec.model import HyperParams, ModelParams, TrainingContext, init_params, train
 from trustrec.synth import planted_factors
 
 
@@ -175,6 +176,24 @@ class TestAblations:
         assert tuple(r.model_tag for r in reports) == ABLATION_TAGS
         assert {r.num_pairs for r in reports} == {len(test_split)}
         assert all(np.isfinite(r.rmse) for r in reports)
+
+    def test_trained_full_model_is_scored_not_retrained(self, make_context, monkeypatch):
+        rng = np.random.default_rng(4)
+        ctx = make_context(rng, 10, 8, 3)
+        train_split, test_split = split(ctx.train, SplitSpec(0.75, 4))
+        ctx.train = train_split
+        hp = HyperParams(k=3, learning_rate=0.02, epochs=3, seed=4)
+        start = init_params(10, 8, HyperParams(k=3, seed=9))
+        ae_init = (start.P, start.Q)
+        full, _ = train(ctx, hp, *ae_init)
+
+        calls = []
+        monkeypatch.setattr(evaluation, "train", lambda *a: calls.append(a) or train(*a))
+        retrained = run_ablations(ctx, hp, test_split, ae_init=ae_init)
+        assert len(calls) == 5
+        reused = run_ablations(ctx, hp, test_split, ae_init=ae_init, full_params=full)
+        assert len(calls) == 9
+        assert [r.line() for r in reused] == [r.line() for r in retrained]
 
     def test_plain_variant_reaches_noise_floor_on_planted_data(self):
         # rank-5 data at 50% density leaves enough observations per factor
