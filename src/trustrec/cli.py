@@ -326,8 +326,11 @@ def cmd_prepare(config, values):
     return out
 
 
-def _load_prepared(config):
-    """Reload cached splits through the saved id maps so indices line up."""
+def _load_prepared(config, train=True, trust=True):
+    """Reload cached splits through the saved id maps so indices line up.
+
+    The train split and the trust graph are None unless asked for.
+    """
     prep = _current_stage(config.work_dir, "prepare")
     user_map = IdMap.load(os.path.join(prep, "user_map.txt"))
     item_map = IdMap.load(os.path.join(prep, "item_map.txt"))
@@ -336,10 +339,10 @@ def _load_prepared(config):
         ratings = load_ratings(os.path.join(prep, name), config.scale, user_map, item_map)
         return ratings.with_num_users(len(user_map))
 
-    train_split = reload("train.txt")
+    train_split = reload("train.txt") if train else None
     test_split = reload("test.txt")
-    trust = load_trust(os.path.join(prep, "trust.txt"), user_map)
-    return prep, train_split, test_split, trust
+    graph = load_trust(os.path.join(prep, "trust.txt"), user_map) if trust else None
+    return prep, train_split, test_split, graph
 
 
 def _check_finite(name, *arrays):
@@ -376,7 +379,7 @@ def _graph_stage(config, values, prep_key, prepared):
         kwargs = {"damping": config.graph.damping} if config.graph.centrality == "pagerank" else {}
         leaders = community_leaders(trust, communities, method=config.graph.centrality, **kwargs)
         propagated = propagate_trust(trust, config.graph.decay, config.graph.max_depth)
-        pairs = np.array(list(propagated.pairs()), dtype=np.float64).reshape(-1, 3)
+        pairs = np.column_stack([propagated.truster, propagated.trustee, propagated.values])
         os.makedirs(out, exist_ok=True)
         save_checkpoint(
             path,
@@ -398,10 +401,8 @@ def _load_graph_stage(path, decay, max_depth):
     labels = arrays["labels"].astype(np.int64)
     communities = CommunityAssignment(labels, meta["num_communities"], float(arrays["modularity"][0]))
     leaders = LeaderTable(arrays["leaders"].astype(np.int64), labels, "stored")
-    values = {}
-    for u, v, t in arrays["pairs"]:
-        values.setdefault(int(u), {})[int(v)] = float(t)
-    propagated = PropagatedTrust(values, meta["num_users"], decay, max_depth)
+    truster, trustee, values = arrays["pairs"].T
+    propagated = PropagatedTrust(truster, trustee, values, meta["num_users"], decay, max_depth)
     return communities, leaders, propagated
 
 
@@ -465,8 +466,11 @@ def cmd_train(config, values):
 
 
 def cmd_evaluate(config, values, ablate=False, baseline_mean=False):
-    """Score the trained checkpoint on the cached test split; write report.txt."""
-    _, train_split, test_split, trust = _load_prepared(config)
+    """Score the trained checkpoint on the cached test split; write report.txt.
+
+    The ladder reads propagated trust from ``graph.ckpt``, not ``trust.txt``.
+    """
+    _, train_split, test_split, _ = _load_prepared(config, train=ablate or baseline_mean, trust=False)
     train_dir = _current_stage(config.work_dir, "train")
     ckpt = os.path.join(train_dir, "model.ckpt")
     if not os.path.exists(ckpt):

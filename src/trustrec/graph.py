@@ -294,25 +294,35 @@ def community_leaders(graph, communities, method="pagerank", **kwargs):
 
 @dataclass
 class PropagatedTrust:
-    """Indirect trust values t_hat[u][v] for pairs within the propagation horizon."""
+    """Indirect trust within the propagation horizon, one entry per pair.
 
-    values: dict
+    ``truster[j]`` trusts ``trustee[j]`` with value ``values[j]``; pairs run
+    by ascending truster, then outward by hop count.
+    """
+
+    truster: np.ndarray
+    trustee: np.ndarray
+    values: np.ndarray
     num_users: int
     decay: float
     max_depth: int
 
+    def __post_init__(self):
+        self.truster = np.asarray(self.truster, dtype=np.int64)
+        self.trustee = np.asarray(self.trustee, dtype=np.int64)
+        self.values = np.asarray(self.values, dtype=np.float64)
+
     def value(self, truster, trustee):
-        """Propagated trust, or 0.0 when trustee is out of reach."""
-        return self.values.get(truster, {}).get(trustee, 0.0)
+        """Propagated trust, or 0.0 when trustee is out of reach (a linear scan)."""
+        hit = np.flatnonzero((self.truster == truster) & (self.trustee == trustee))
+        return float(self.values[hit[0]]) if len(hit) else 0.0
 
     def pairs(self):
-        for u, row in self.values.items():
-            for v, t in row.items():
-                yield u, v, t
+        return zip(self.truster.tolist(), self.trustee.tolist(), self.values.tolist())
 
     @property
     def num_pairs(self):
-        return sum(len(row) for row in self.values.values())
+        return len(self.values)
 
 
 def propagate_trust(graph, decay=0.8, max_depth=3):
@@ -327,7 +337,7 @@ def propagate_trust(graph, decay=0.8, max_depth=3):
         raise ValueError("decay must lie in (0, 1]")
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
-    values = {}
+    truster, trustee, values = [], [], []
     for source in range(graph.num_users):
         nbrs = graph.neighbors(source)
         if not nbrs:
@@ -354,5 +364,7 @@ def propagate_trust(graph, decay=0.8, max_depth=3):
             if not nxt:
                 break
             frontier = nxt
-        values[source] = row
-    return PropagatedTrust(values, graph.num_users, decay, max_depth)
+        truster.extend([source] * len(row))
+        trustee.extend(row)
+        values.extend(row.values())
+    return PropagatedTrust(truster, trustee, values, graph.num_users, decay, max_depth)

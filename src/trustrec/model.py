@@ -12,9 +12,10 @@ Factor matrices are stored factors-first: P has shape (k, num_users) and
 Q has shape (k, num_items), so P[:, u] is user u's vector.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .scatter import add_rows
 from .serialize import load_checkpoint, save_checkpoint
@@ -108,20 +109,13 @@ class TrainingContext:
 
 
 class _Tables:
-    """Flat-array views of a TrainingContext for the inner loops.
-
-    Trust partners of u concatenate both directions: pairs (u, v) where u
-    trusts v and pairs (w, u) where w trusts u, each with its propagated
-    value, since both appear in u's partial derivative.
-    """
+    """Flat-array views of a TrainingContext for the objective and SGD."""
 
     def __init__(self, ctx, k):
         train = ctx.train
-        m, n = train.num_users, train.num_items
-        self.user_counts = train.user_counts()
-        self.item_counts = train.item_counts()
-        self.inv_user = 1.0 / np.maximum(self.user_counts, 1)
-        self.inv_item = 1.0 / np.maximum(self.item_counts, 1)
+        m = train.num_users
+        self.inv_user = 1.0 / np.maximum(train.user_counts(), 1)
+        self.inv_item = 1.0 / np.maximum(train.item_counts(), 1)
 
         if ctx.embeddings is not None:
             if ctx.embeddings.dimensions != k:
@@ -130,37 +124,44 @@ class _Tables:
         else:
             self.X = np.zeros((m, k))
 
-        # Directed propagated pairs, for the objective.
-        if ctx.trust is not None and ctx.trust.num_pairs:
-            pu, pv, pt = zip(*ctx.trust.pairs())
-            self.pair_u = np.array(pu, dtype=np.int64)
-            self.pair_v = np.array(pv, dtype=np.int64)
-            self.pair_t = np.array(pt, dtype=np.float64)
+        if ctx.trust is not None:
+            self.pair_u = ctx.trust.truster
+            self.pair_v = ctx.trust.trustee
+            self.pair_t = ctx.trust.values
         else:
             self.pair_u = np.zeros(0, dtype=np.int64)
             self.pair_v = np.zeros(0, dtype=np.int64)
             self.pair_t = np.zeros(0, dtype=np.float64)
-
-        # Per-user partner lists over both directions, for the gradients.
-        both_u = np.concatenate([self.pair_u, self.pair_v])
-        both_p = np.concatenate([self.pair_v, self.pair_u])
-        both_t = np.concatenate([self.pair_t, self.pair_t])
-        order = np.argsort(both_u, kind="stable")
-        self.t_indptr = np.searchsorted(both_u[order], np.arange(m + 1))
-        self.t_partners = both_p[order]
-        self.t_values = both_t[order]
-        self.t_total = np.bincount(both_u, weights=both_t, minlength=m)
 
         # leaders[u] = -1 when u leads its own community (or there are none)
         if ctx.leaders is not None:
             self.user_leaders = ctx.leaders.user_leaders()
         else:
             self.user_leaders = np.full(m, -1, dtype=np.int64)
-        members = np.flatnonzero(self.user_leaders >= 0)
-        heads = self.user_leaders[members]
-        order = np.argsort(heads, kind="stable")
-        self.f_indptr = np.searchsorted(heads[order], np.arange(m + 1))
-        self.f_members = members[order]
+        self._social = {}
+
+    def social_operator(self, lam_t, lam_c):
+        """Sparse L with (L Pᵀ)[u] the trust-plus-leader part of ∂objective/∂P_u.
+
+        L = λ_t·(Laplacian of the pairs as undirected edges of weight t_uv)
+        + λ_c·(Laplacian of the member–leader edges), built once per weight
+        pair and kept; None when it has no entries.
+        """
+        key = (lam_t, lam_c)
+        if key not in self._social:
+            m = len(self.user_leaders)
+            members = np.flatnonzero(self.user_leaders >= 0)
+            heads = self.user_leaders[members]
+            rows = np.concatenate([self.pair_u, self.pair_v, members, heads])
+            cols = np.concatenate([self.pair_v, self.pair_u, heads, members])
+            weights = np.concatenate(
+                [lam_t * self.pair_t, lam_t * self.pair_t, np.full(2 * len(members), float(lam_c))]
+            )
+            adjacency = sparse.csr_matrix((weights, (rows, cols)), shape=(m, m))
+            op = (sparse.diags(np.asarray(adjacency.sum(axis=1)).ravel()) - adjacency).tocsr()
+            op.eliminate_zeros()
+            self._social[key] = op if op.nnz else None
+        return self._social[key]
 
 
 def _check_index(value, bound, what):
@@ -248,61 +249,68 @@ def gradients(params, ctx, hp, tables=None):
     return gP, gQ, gW
 
 
-def sgd_epoch(params, ctx, hp, rng=None, tables=None):
-    """One pass of per-rating SGD in a seeded shuffled order; returns new params.
+def conflict_free_levels(users, items):
+    """Positions of a rating sequence grouped into conflict-free levels.
 
-    Each visit updates P_u, Q_i, and W from the gradients at the current
-    values.  Regularization is spread across visits so that an epoch's
-    summed regularizer gradient matches the full objective: the P-ridge,
-    trust, and leader terms for user u are scaled by 1/|ratings of u|, the
-    Q-ridge for item i by 1/|ratings of i|, and the W-ridge by 1/N.
+    Rating j (``users[j]``, ``items[j]``) goes one level past the last level
+    of its user and of its item: no level repeats a user or an item, and
+    each user's and item's ratings keep their sequence order across levels.
+    """
+    if len(users) == 0:
+        return []
+    last_user = [0] * (int(users.max()) + 1)
+    last_item = [0] * (int(items.max()) + 1)
+    level = []
+    for u, i in zip(users.tolist(), items.tolist()):
+        here = max(last_user[u], last_item[i]) + 1
+        last_user[u] = last_item[i] = here
+        level.append(here)
+    level = np.array(level)
+    by_level = np.argsort(level, kind="stable")
+    return np.split(by_level, np.flatnonzero(np.diff(level[by_level])) + 1)
+
+
+def sgd_epoch(params, ctx, hp, rng=None, tables=None):
+    """One SGD pass in a seeded shuffled order; returns new params.
+
+    Each conflict-free level of the order is one vectorized step that moves
+    its ratings' P_u and Q_i by their gradients at the level-start values.
+    Without trust, leaders or embeddings that is exactly the per-rating
+    pass; otherwise trust/leader partners and W are read at level start.
+    The shared W takes an implicit step per level of B ratings, stable at
+    any lr·‖ZᵀZ‖: ((1 + lr·B·λ_w/N)·I + lr·ZᵀZ) W' = W − lr·Zᵀ(e − ZW),
+    with Z's rows X_u ⊙ Q_i.  Regularizers are spread across visits so an
+    epoch sums to the full objective's: P-ridge, trust and leader terms of
+    user u scale by 1/|ratings of u|, the Q-ridge by 1/|ratings of i|, the
+    W-ridge by 1/N.  Non-finite values give NaN or inf, never an error.
     """
     tables = tables or _Tables(ctx.validate(), hp.k)
     rng = rng if rng is not None else np.random.default_rng(hp.seed)
-    out = params.copy()
-    P, Q, W = out.P, out.Q, out.W
-    train = ctx.train
-    users, items, values = train.users, train.items, train.values
-    X = tables.X
-    inv_u, inv_i = tables.inv_user, tables.inv_item
-    t_indptr, t_partners, t_values, t_total = (
-        tables.t_indptr,
-        tables.t_partners,
-        tables.t_values,
-        tables.t_total,
-    )
-    leaders, f_indptr, f_members = tables.user_leaders, tables.f_indptr, tables.f_members
+    users, items, values = ctx.train.users, ctx.train.items, ctx.train.values
+    order = rng.permutation(len(values))
+    # row-major copies: one user's or item's factors per contiguous row
+    Pt, Qt, W = params.P.T.copy(), params.Q.T.copy(), params.W.copy()
+    social = tables.social_operator(hp.lam_t, hp.lam_c)
     lr = hp.learning_rate
-    lam_w_n = hp.lam_w / len(values)
-
-    for s in rng.permutation(len(values)):
-        u, i, r = users[s], items[s], values[s]
-        pu = P[:, u]
-        qi = Q[:, i]
-        xu = X[u]
-        wxu = W * xu
-        a = pu + wxu
-        e = a @ qi - r
-        cu = inv_u[u]
-
-        gp = e * qi + (hp.lam_p * cu) * pu
-        lo, hi = t_indptr[u], t_indptr[u + 1]
-        if hi > lo:
-            gp += (hp.lam_t * cu) * (t_total[u] * pu - P[:, t_partners[lo:hi]] @ t_values[lo:hi])
-        head = leaders[u]
-        if head >= 0:
-            gp += (hp.lam_c * cu) * (pu - P[:, head])
-        lo, hi = f_indptr[u], f_indptr[u + 1]
-        if hi > lo:
-            gp += (hp.lam_c * cu) * ((hi - lo) * pu - P[:, f_members[lo:hi]].sum(axis=1))
-
-        gq = e * a + (hp.lam_q * inv_i[i]) * qi
-        gw = e * (xu * qi) + lam_w_n * W
-
-        pu -= lr * gp
-        qi -= lr * gq
-        W -= lr * gw
-    return out
+    for level in conflict_free_levels(users[order], items[order]):
+        s = order[level]
+        u, i = users[s], items[s]
+        pu, qi, xu = Pt[u], Qt[i], tables.X[u]
+        a = pu + W * xu
+        e = np.einsum("bk,bk->b", a, qi) - values[s]
+        gp = e[:, None] * qi + (hp.lam_p * tables.inv_user[u])[:, None] * pu
+        if social is not None:
+            gp += tables.inv_user[u, None] * (social[u] @ Pt)
+        gq = e[:, None] * a + (hp.lam_q * tables.inv_item[i])[:, None] * qi
+        z = xu * qi
+        lhs = (1.0 + lr * len(s) * hp.lam_w / len(values)) * np.eye(hp.k) + lr * (z.T @ z)
+        try:
+            W = np.linalg.solve(lhs, W - lr * (z.T @ (e - z @ W)))
+        except np.linalg.LinAlgError:
+            W = np.full(hp.k, np.nan)  # the system is positive definite when finite
+        Pt[u] = pu - lr * gp
+        Qt[i] = qi - lr * gq
+    return ModelParams(np.ascontiguousarray(Pt.T), np.ascontiguousarray(Qt.T), W)
 
 
 def init_params(num_users, num_items, hp, rng=None):

@@ -58,12 +58,14 @@ def make_context():
 
         trust = None
         if with_trust:
-            values_by_source = {}
+            truster, trustee, trust_values = [], [], []
             for u in range(m):
                 partners = [v for v in range(m) if v != u and rng.random() < 0.4]
-                if partners:
-                    values_by_source[u] = {v: float(rng.uniform(0.2, 1.0)) for v in partners}
-            trust = PropagatedTrust(values_by_source, m, decay=0.8, max_depth=3)
+                for v in partners:
+                    truster.append(u)
+                    trustee.append(v)
+                    trust_values.append(float(rng.uniform(0.2, 1.0)))
+            trust = PropagatedTrust(truster, trustee, trust_values, m, decay=0.8, max_depth=3)
 
         leaders = None
         if with_leaders:

@@ -14,10 +14,12 @@ from trustrec.embed import step_distribution
 def central_difference(fn, x, step=1e-5):
     """Numerical gradient of a scalar function, one coordinate at a time.
 
-    Mutates a private copy of ``x`` in place between evaluations, so ``fn``
-    must read its argument fresh on every call.
+    Mutates a private C-ordered copy of ``x`` in place between evaluations,
+    so ``fn`` must read its argument fresh on every call.  The copy is
+    C-ordered whatever the input's layout, so that its ``ravel()`` is a view
+    and the perturbations reach ``fn``.
     """
-    x = np.array(x, dtype=float)
+    x = np.array(x, dtype=float, order="C")
     grad = np.zeros_like(x)
     flat = x.ravel()
     gflat = grad.ravel()
@@ -243,3 +245,66 @@ def dense_train_codes(targets, mask, config):
                 b -= config.learning_rate * gb
     acts, _ = dense_forward(model, targets * mask)
     return model, acts[model.code_layer]
+
+
+def reference_sgd_epoch(params, ctx, hp, rng=None):
+    """Per-rating SGD, one rating at a time in a seeded shuffled order.
+
+    Each visit updates P_u, Q_i and W from the gradients at the current
+    values, with the P-ridge, trust and leader terms of user u scaled by
+    1/|ratings of u|, the Q-ridge of item i by 1/|ratings of i| and the
+    W-ridge by 1/N.  Draws one ``rng.permutation(N)``, as ``sgd_epoch`` does.
+    """
+    ctx.validate()
+    rng = rng if rng is not None else np.random.default_rng(hp.seed)
+    train = ctx.train
+    m = train.num_users
+    users, items, values = train.users, train.items, train.values
+    inv_u = 1.0 / np.maximum(train.user_counts(), 1)
+    inv_i = 1.0 / np.maximum(train.item_counts(), 1)
+    X = ctx.embeddings.vectors if ctx.embeddings is not None else np.zeros((m, hp.k))
+
+    # trust partners of u over both directions, each with its pair's value
+    partners = [[] for _ in range(m)]
+    if ctx.trust is not None:
+        for a, b, t in ctx.trust.pairs():
+            partners[a].append((b, t))
+            partners[b].append((a, t))
+    leaders = ctx.leaders.user_leaders() if ctx.leaders is not None else np.full(m, -1)
+    followers = [[] for _ in range(m)]
+    for member, head in enumerate(leaders):
+        if head >= 0:
+            followers[head].append(member)
+
+    out = params.copy()
+    P, Q, W = out.P, out.Q, out.W
+    lr = hp.learning_rate
+    lam_w_n = hp.lam_w / len(values)
+    for s in rng.permutation(len(values)):
+        u, i, r = users[s], items[s], values[s]
+        pu = P[:, u]
+        qi = Q[:, i]
+        xu = X[u]
+        wxu = W * xu
+        a = pu + wxu
+        e = a @ qi - r
+        cu = inv_u[u]
+
+        gp = e * qi + (hp.lam_p * cu) * pu
+        if partners[u]:
+            idx = [v for v, _ in partners[u]]
+            vals = np.array([t for _, t in partners[u]])
+            gp += (hp.lam_t * cu) * (vals.sum() * pu - P[:, idx] @ vals)
+        head = leaders[u]
+        if head >= 0:
+            gp += (hp.lam_c * cu) * (pu - P[:, head])
+        if followers[u]:
+            gp += (hp.lam_c * cu) * (len(followers[u]) * pu - P[:, followers[u]].sum(axis=1))
+
+        gq = e * a + (hp.lam_q * inv_i[i]) * qi
+        gw = e * (xu * qi) + lam_w_n * W
+
+        pu -= lr * gp
+        qi -= lr * gq
+        W -= lr * gw
+    return out

@@ -218,6 +218,29 @@ class TestPipeline:
         assert self.run(config, "train") == 0
         assert loaded == []
 
+    def test_evaluate_parses_only_what_it_scores(self, workspace, monkeypatch):
+        _, config_path = workspace
+        config = config_path()
+        for command in ("prepare", "train"):
+            assert self.run(config, command) == 0
+        loaded = []
+
+        def counting(load):
+            def wrapper(path, *args, **kwargs):
+                loaded.append(os.path.basename(path))
+                return load(path, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "load_ratings", counting(cli.load_ratings))
+        monkeypatch.setattr(cli, "load_trust", counting(cli.load_trust))
+        assert self.run(config, "evaluate") == 0
+        assert loaded == ["test.txt"]
+        for flag in ("--ablate", "--baseline-mean"):
+            loaded.clear()
+            assert self.run(config, "evaluate", flag) == 0
+            assert sorted(loaded) == ["test.txt", "train.txt"]
+
     def test_changed_source_misses_the_stage_cache(self, workspace):
         tmp_path, config_path = workspace
         config = config_path()

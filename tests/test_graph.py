@@ -398,11 +398,12 @@ class TestPropagation:
             depth = int(rng.integers(1, 4))
             mine = propagate_trust(g, decay=0.8, max_depth=depth)
             oracle = exhaustive_propagation(edges, n, 0.8, depth)
-            assert set(mine.values) == set(oracle)
+            got = {(u, v): t for u, v, t in mine.pairs()}
+            assert mine.num_pairs == len(got)
+            assert set(got) == {(u, v) for u in oracle for v in oracle[u]}
             for u in oracle:
-                assert set(mine.values[u]) == set(oracle[u])
                 for v, t in oracle[u].items():
-                    assert mine.values[u][v] == pytest.approx(t, abs=1e-12)
+                    assert got[(u, v)] == pytest.approx(t, abs=1e-12)
 
     def test_parameter_validation(self):
         g = TrustGraph(2)

@@ -8,6 +8,8 @@ from trustrec.model import (
     HyperParams,
     ModelParams,
     TrainingContext,
+    _Tables,
+    conflict_free_levels,
     gradients,
     init_params,
     load_params,
@@ -20,7 +22,7 @@ from trustrec.model import (
 )
 from trustrec.synth import planted_factors
 
-from oracles import central_difference, gradient_gap, plain_mf_objective
+from oracles import central_difference, gradient_gap, plain_mf_objective, reference_sgd_epoch
 
 
 def one_rating(value=4.0, m=1, n=1):
@@ -77,7 +79,7 @@ class TestParams:
 
     def test_context_user_count_mismatches(self, make_ratings):
         ratings = make_ratings([(0, 0, 3.0), (1, 1, 4.0)], 2, 2)
-        bad_trust = PropagatedTrust({0: {1: 0.5}, 2: {0: 0.2}}, 3, decay=0.8, max_depth=2)
+        bad_trust = PropagatedTrust([0, 2], [1, 0], [0.5, 0.2], 3, decay=0.8, max_depth=2)
         with pytest.raises(ValueError):
             TrainingContext(train=ratings, trust=bad_trust).validate()
         with pytest.raises(ValueError):
@@ -185,7 +187,7 @@ class TestObjective:
 
     def test_trust_term_vanishes_at_equal_factors(self, make_ratings):
         ratings = make_ratings([(0, 0, 3.0), (1, 1, 2.0), (2, 0, 4.0)], 3, 2)
-        trust = PropagatedTrust({0: {1: 0.9}, 1: {2: 0.4}, 2: {0: 0.7}}, 3, decay=0.8, max_depth=2)
+        trust = PropagatedTrust([0, 1, 2], [1, 2, 0], [0.9, 0.4, 0.7], 3, decay=0.8, max_depth=2)
         column = np.array([0.7, -0.2])
         params = ModelParams(
             np.tile(column[:, None], (1, 3)), np.random.default_rng(1).normal(size=(2, 2)),
@@ -346,6 +348,127 @@ class TestSgdEpoch:
             )
             values.append(objective(params, ctx, hp))
         assert all(b <= a for a, b in zip(values, values[1:]))
+
+
+class TestLevelSchedule:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_levels_are_conflict_free_and_keep_each_order(self, seed):
+        rng = np.random.default_rng(seed)
+        users = rng.integers(0, 7, size=200)
+        items = rng.integers(0, 5, size=200)
+        levels = conflict_free_levels(users, items)
+        np.testing.assert_array_equal(np.sort(np.concatenate(levels)), np.arange(200))
+        for level in levels:
+            assert len(set(users[level].tolist())) == len(level)
+            assert len(set(items[level].tolist())) == len(level)
+        visited = np.concatenate(levels)
+        for keys in (users, items):
+            for key in np.unique(keys):
+                mine = visited[keys[visited] == key]
+                np.testing.assert_array_equal(mine, np.flatnonzero(keys == key))
+
+    def test_each_rating_goes_one_past_its_latest_conflict(self):
+        # (user, item) = (0,0) (0,1) (1,1) (2,2) (2,0): levels 1, 2, 3, 1, 2
+        levels = conflict_free_levels(np.array([0, 0, 1, 2, 2]), np.array([0, 1, 1, 2, 0]))
+        assert [level.tolist() for level in levels] == [[0, 3], [1, 4], [2]]
+
+    def test_empty_sequence_has_no_levels(self):
+        assert conflict_free_levels(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)) == []
+
+
+class TestLevelScheduledEpoch:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_plain_contexts_match_the_per_rating_loop(self, make_context, seed):
+        # without trust, leaders or embeddings a level-scheduled epoch is a
+        # reordering of independent updates: only dot-product rounding differs
+        rng = np.random.default_rng(seed)
+        ctx = make_context(rng, 15, 12, 3, with_trust=False, with_leaders=False, with_embeddings=False)
+        hp = HyperParams(
+            k=3, learning_rate=0.05, lam_p=0.1, lam_q=0.2, lam_w=0.1, lam_t=0.1, lam_c=0.1,
+            epochs=3, seed=seed,
+        )
+        start = init_params(15, 12, hp)
+        mine, oracle = start, start
+        rng_mine, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            mine = sgd_epoch(mine, ctx, hp, rng_mine)
+            oracle = reference_sgd_epoch(oracle, ctx, hp, rng_oracle)
+        np.testing.assert_allclose(mine.P, oracle.P, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(mine.Q, oracle.Q, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(mine.W, np.zeros(3))
+        np.testing.assert_array_equal(oracle.W, np.zeros(3))
+
+    def test_switched_off_social_terms_match_the_per_rating_loop(self, make_context):
+        # trust and leaders present with zero weights are plain MF too
+        rng = np.random.default_rng(5)
+        ctx = make_context(rng, 12, 10, 3, with_embeddings=False)
+        hp = plain_hp(k=3, learning_rate=0.05, lam_p=0.1, lam_q=0.1, seed=5)
+        start = init_params(12, 10, hp)
+        mine = sgd_epoch(start, ctx, hp, np.random.default_rng(5))
+        oracle = reference_sgd_epoch(start, ctx, hp, np.random.default_rng(5))
+        np.testing.assert_allclose(mine.P, oracle.P, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(mine.Q, oracle.Q, rtol=1e-12, atol=0)
+
+    def test_full_context_stays_near_the_per_rating_loop(self, make_context):
+        # level-start partner values and the per-level implicit W step differ
+        # from the sequential loop by terms of second order in the step, so
+        # the gap relative to the epoch's own move shrinks in step with lr
+        rng = np.random.default_rng(6)
+        ctx = make_context(rng, 15, 12, 3)
+        start = ModelParams(
+            rng.normal(0, 0.3, size=(3, 15)), rng.normal(0, 0.3, size=(3, 12)),
+            rng.normal(0, 0.3, size=3),
+        )
+        for lr in (1e-2, 1e-3, 1e-4):
+            hp = HyperParams(
+                k=3, learning_rate=lr, lam_p=0.1, lam_q=0.1, lam_w=0.1, lam_t=0.1, lam_c=0.1,
+                epochs=1, seed=6,
+            )
+            mine = sgd_epoch(start, ctx, hp)
+            oracle = reference_sgd_epoch(start, ctx, hp)
+            for got, want, was in zip(
+                (mine.P, mine.Q, mine.W), (oracle.P, oracle.Q, oracle.W), (start.P, start.Q, start.W)
+            ):
+                assert np.abs(got - want).max() < lr * np.abs(want - was).max()
+
+    def test_social_operator_is_the_social_gradient(self, make_context):
+        rng = np.random.default_rng(8)
+        ctx = make_context(rng, 10, 6, 3)
+        params = ModelParams(rng.normal(size=(3, 10)), rng.normal(size=(3, 6)), rng.normal(size=3))
+        hp = plain_hp(k=3, lam_t=0.3, lam_c=0.7)
+        social = gradients(params, ctx, hp)[0] - gradients(params, ctx, plain_hp(k=3))[0]
+        op = _Tables(ctx, 3).social_operator(0.3, 0.7)
+        np.testing.assert_allclose((op @ params.P.T).T, social, rtol=0, atol=1e-12)
+        assert _Tables(ctx, 3).social_operator(0.0, 0.0) is None
+
+    def test_shared_gate_takes_a_stable_step(self):
+        # 200 ratings on distinct users and items form a single level coupled
+        # only through W; lr·‖ZᵀZ‖ is far above 2, where a summed explicit
+        # step on W overshoots
+        rng = np.random.default_rng(0)
+        count, k = 200, 3
+        idx = np.arange(count)
+        ratings = RatingMatrix(count, count, idx, idx, rng.uniform(1.0, 5.0, size=count)).validate()
+        ctx = TrainingContext(train=ratings, embeddings=EmbeddingTable(rng.normal(0, 10.0, size=(count, k))))
+        hp = plain_hp(k=k, learning_rate=0.01, lam_p=0.1, lam_q=0.1, lam_w=0.1)
+        params = ModelParams(np.zeros((k, count)), rng.normal(0, 1.0, size=(k, count)), np.zeros(k))
+        z = ctx.embeddings.vectors * params.Q.T
+        assert hp.learning_rate * np.linalg.norm(z.T @ z, 2) > 100
+        before = objective(params, ctx, hp)
+        for _ in range(5):
+            params = sgd_epoch(params, ctx, hp)
+            assert np.all(np.isfinite(params.W))
+            after = objective(params, ctx, hp)
+            assert after < before
+            before = after
+
+    def test_non_finite_input_gives_nan_not_an_error(self, make_context):
+        rng = np.random.default_rng(2)
+        ctx = make_context(rng, 6, 5, 2)
+        params = ModelParams(rng.normal(size=(2, 6)), rng.normal(size=(2, 5)), np.array([np.inf, 1.0]))
+        with np.errstate(all="ignore"):
+            out = sgd_epoch(params, ctx, plain_hp(lam_w=0.1))
+        assert not np.all(np.isfinite(out.W))
 
 
 class TestTrain:
