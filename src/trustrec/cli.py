@@ -17,6 +17,7 @@ import fcntl
 import functools
 import hashlib
 import os
+import shutil
 import sys
 from dataclasses import dataclass, replace
 
@@ -43,7 +44,6 @@ from .graph import (
     community_leaders,
     louvain,
     propagate_trust,
-    symmetrized_adjacency,
 )
 from .model import HyperParams, TrainingContext, load_params, save_params, train
 from .serialize import CheckpointError, load_checkpoint, save_checkpoint
@@ -181,32 +181,18 @@ def build_config(raw, seed_override=None, work_override=None):
             autoencoder=AutoencoderConfig(**section("autoencoder")),
             walks=WalkConfig(**section("walks")),
             graph=GraphOptions(**section("graph")),
-            model=HyperParams(
-                k=values["model.k"],
-                learning_rate=values["model.learning_rate"],
-                lam_p=values["model.lam_p"],
-                lam_q=values["model.lam_q"],
-                lam_w=values["model.lam_w"],
-                lam_t=values["model.lam_t"],
-                lam_c=values["model.lam_c"],
-                epochs=values["model.epochs"],
-                seed=values["model.seed"],
-            ),
+            model=HyperParams(**section("model")),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     # the code layer seeds P/Q and the embedding gate is elementwise against
     # P_u, so all three widths have to agree before any stage runs
-    if config.autoencoder.code_size != config.model.k:
-        raise ConfigError(
-            f"autoencoder code width {config.autoencoder.code_size} "
-            f"does not match model.k = {config.model.k}"
-        )
-    if config.walks.dimensions != config.model.k:
-        raise ConfigError(
-            f"walks.dimensions = {config.walks.dimensions} "
-            f"does not match model.k = {config.model.k}"
-        )
+    for name, width in (
+        ("autoencoder code width", config.autoencoder.code_size),
+        ("walks.dimensions", config.walks.dimensions),
+    ):
+        if width != config.model.k:
+            raise ConfigError(f"{name} = {width} does not match model.k = {config.model.k}")
     return config, values
 
 
@@ -247,22 +233,36 @@ def _render(values, prefixes):
     return "\n".join(lines)
 
 
-def _stage_dir(work, stage, key):
-    return os.path.join(work, f"{stage}-{key}")
+def _run_stage(work, stage, key, produce):
+    """Folder ``work/<stage>-<key>``, made by ``produce(folder)`` unless it exists.
 
-
-def _finish_stage(work, stage, key):
-    # the pointer file lets downstream stages find the current artifact set
-    with open(os.path.join(work, f"{stage}.current"), "w") as fh:
+    A stage folder exists only when complete: ``produce`` writes into a fresh
+    ``<folder>.tmp``, which moves into place only when it returns.  The work
+    lock keeps that fixed temporary name private to one command.  The pointer
+    file ``<stage>.current`` then lets later stages find the folder.
+    """
+    out = os.path.join(work, f"{stage}-{key}")
+    if not os.path.isdir(out):
+        tmp = out + ".tmp"
+        shutil.rmtree(tmp, ignore_errors=True)
+        os.makedirs(tmp)
+        produce(tmp)
+        os.replace(tmp, out)
+    pointer = os.path.join(work, f"{stage}.current")
+    with open(pointer + ".tmp", "w") as fh:
         fh.write(key + "\n")
+    os.replace(pointer + ".tmp", pointer)
+    return out
 
 
-def _current_stage(work, stage):
+def _current_stage(work, stage, name=None):
+    """The stage's current folder, or the file ``name`` inside it."""
     pointer = os.path.join(work, f"{stage}.current")
     if not os.path.exists(pointer):
         raise ConfigError(f"missing {stage} artifacts in {work}; run earlier stages first")
     with open(pointer) as fh:
-        return os.path.join(work, f"{stage}-{fh.read().strip()}")
+        folder = os.path.join(work, f"{stage}-{fh.read().strip()}")
+    return folder if name is None else os.path.join(folder, name)
 
 
 class _WorkLock:
@@ -298,38 +298,32 @@ def cmd_prepare(config, values):
     for path in (config.ratings_path, config.trust_path):
         if not path or not os.path.exists(path):
             raise ConfigError(f"input file not found: {path!r}")
-    key = _stage_key(
-        _render(values, ("data", "split")),
-        _hash_file(config.ratings_path),
-        _hash_file(config.trust_path),
-    )
-    out = _stage_dir(config.work_dir, "prepare", key)
-    if not os.path.exists(os.path.join(out, "done")):
+
+    def produce(out):
         user_map, item_map = IdMap(), IdMap()
         ratings = load_ratings(config.ratings_path, config.scale, user_map, item_map)
         trust = load_trust(config.trust_path, user_map)
         ratings = ratings.with_num_users(len(user_map))
         train_split, test_split = split(ratings, config.split)
-        os.makedirs(out, exist_ok=True)
         save_ratings(train_split, os.path.join(out, "train.txt"), user_map, item_map)
         save_ratings(test_split, os.path.join(out, "test.txt"), user_map, item_map)
         user_map.save(os.path.join(out, "user_map.txt"))
         item_map.save(os.path.join(out, "item_map.txt"))
         save_trust(trust, os.path.join(out, "trust.txt"), user_map)
-        sym = symmetrized_adjacency(trust).tocoo()
-        with open(os.path.join(out, "sym_graph.txt"), "w") as fh:
-            for u, v, w in zip(sym.row, sym.col, sym.data):
-                fh.write(f"{u},{v},{float(w)!r}\n")
-        with open(os.path.join(out, "done"), "w") as fh:
-            fh.write(key + "\n")
-    _finish_stage(config.work_dir, "prepare", key)
-    return out
+
+    key = _stage_key(
+        _render(values, ("data", "split")),
+        _hash_file(config.ratings_path),
+        _hash_file(config.trust_path),
+    )
+    return _run_stage(config.work_dir, "prepare", key, produce)
 
 
-def _load_prepared(config, train=True, trust=True):
+def _load_prepared(config, train=True, test=True, trust=True):
     """Reload cached splits through the saved id maps so indices line up.
 
-    The train split and the trust graph are None unless asked for.
+    Each of the train split, the test split and the trust graph is None
+    unless asked for.
     """
     prep = _current_stage(config.work_dir, "prepare")
     user_map = IdMap.load(os.path.join(prep, "user_map.txt"))
@@ -340,9 +334,9 @@ def _load_prepared(config, train=True, trust=True):
         return ratings.with_num_users(len(user_map))
 
     train_split = reload("train.txt") if train else None
-    test_split = reload("test.txt")
+    test_split = reload("test.txt") if test else None
     graph = load_trust(os.path.join(prep, "trust.txt"), user_map) if trust else None
-    return prep, train_split, test_split, graph
+    return train_split, test_split, graph
 
 
 def _check_finite(name, *arrays):
@@ -351,38 +345,59 @@ def _check_finite(name, *arrays):
             raise NumericError(f"non-finite values in {name}")
 
 
-def _autoencoder_stage(config, values, prep_key, prepared):
-    key = _stage_key(_render(values, ("autoencoder",)), values["model.k"], prep_key)
-    out = _stage_dir(config.work_dir, "autoencoder", key)
-    path = os.path.join(out, "codes.ckpt")
-    if not os.path.exists(path):
-        _, train_split, _, _ = prepared()
+def _load_embeddings(work):
+    _, arrays, _ = load_checkpoint(_current_stage(work, "embed", "embeddings.ckpt"), expect_kind="embeddings")
+    return EmbeddingTable(arrays["vectors"])
+
+
+def _load_context(config, train_split):
+    """Training context and autoencoder codes from the current stage checkpoints."""
+    work = config.work_dir
+    _, codes, _ = load_checkpoint(_current_stage(work, "autoencoder", "codes.ckpt"), expect_kind="ae-codes")
+    _, arrays, meta = load_checkpoint(_current_stage(work, "graph", "graph.ckpt"), expect_kind="graph")
+    labels = arrays["labels"].astype(np.int64)
+    truster, trustee, trust = arrays["pairs"].T
+    ctx = TrainingContext(
+        train_split,
+        trust=PropagatedTrust(
+            truster, trustee, trust, meta["num_users"], config.graph.decay, config.graph.max_depth
+        ),
+        embeddings=_load_embeddings(work),
+        communities=CommunityAssignment(labels, meta["num_communities"], float(arrays["modularity"][0])),
+        leaders=LeaderTable(arrays["leaders"].astype(np.int64), labels, "stored"),
+    )
+    return ctx, (codes["init_P"], codes["init_Q"])
+
+
+def cmd_train(config, values):
+    """Autoencoders, graph analysis, embeddings, then factor-model SGD."""
+    work = config.work_dir
+    prep_key = os.path.basename(_current_stage(work, "prepare")).split("-", 1)[1]
+    # parsed at most once, and only if some stage misses the cache
+    prepared = functools.cache(lambda: _load_prepared(config, test=False))
+
+    def autoencoder(out):
+        train_split, _, _ = prepared()
         user_cfg = config.autoencoder
         item_cfg = replace(user_cfg, seed=user_cfg.seed + 1)
         init_p, init_q = evaluation.autoencoder_inits(
             train_split, config.model.k, user_cfg, item_cfg
         )
         _check_finite("autoencoder codes", init_p, init_q)
-        os.makedirs(out, exist_ok=True)
-        save_checkpoint(path, "ae-codes", {"init_P": init_p, "init_Q": init_q})
-    _finish_stage(config.work_dir, "autoencoder", key)
-    return path
+        save_checkpoint(os.path.join(out, "codes.ckpt"), "ae-codes", {"init_P": init_p, "init_Q": init_q})
 
+    ae_key = _stage_key(_render(values, ("autoencoder",)), values["model.k"], prep_key)
+    ae_path = os.path.join(_run_stage(work, "autoencoder", ae_key, autoencoder), "codes.ckpt")
 
-def _graph_stage(config, values, prep_key, prepared):
-    key = _stage_key(_render(values, ("graph",)), prep_key)
-    out = _stage_dir(config.work_dir, "graph", key)
-    path = os.path.join(out, "graph.ckpt")
-    if not os.path.exists(path):
-        _, _, _, trust = prepared()
+    def graph(out):
+        _, _, trust = prepared()
         communities = louvain(trust, seed=config.graph.louvain_seed)
         kwargs = {"damping": config.graph.damping} if config.graph.centrality == "pagerank" else {}
         leaders = community_leaders(trust, communities, method=config.graph.centrality, **kwargs)
         propagated = propagate_trust(trust, config.graph.decay, config.graph.max_depth)
         pairs = np.column_stack([propagated.truster, propagated.trustee, propagated.values])
-        os.makedirs(out, exist_ok=True)
         save_checkpoint(
-            path,
+            os.path.join(out, "graph.ckpt"),
             "graph",
             {
                 "labels": communities.labels,
@@ -392,43 +407,28 @@ def _graph_stage(config, values, prep_key, prepared):
             },
             {"num_communities": communities.num_communities, "num_users": trust.num_users},
         )
-    _finish_stage(config.work_dir, "graph", key)
-    return path
 
+    graph_key = _stage_key(_render(values, ("graph",)), prep_key)
+    graph_path = os.path.join(_run_stage(work, "graph", graph_key, graph), "graph.ckpt")
 
-def _load_graph_stage(path, decay, max_depth):
-    _, arrays, meta = load_checkpoint(path, expect_kind="graph")
-    labels = arrays["labels"].astype(np.int64)
-    communities = CommunityAssignment(labels, meta["num_communities"], float(arrays["modularity"][0]))
-    leaders = LeaderTable(arrays["leaders"].astype(np.int64), labels, "stored")
-    truster, trustee, values = arrays["pairs"].T
-    propagated = PropagatedTrust(truster, trustee, values, meta["num_users"], decay, max_depth)
-    return communities, leaders, propagated
-
-
-def _embed_stage(config, values, prep_key, prepared):
-    key = _stage_key(_render(values, ("walks",)), prep_key)
-    out = _stage_dir(config.work_dir, "embed", key)
-    path = os.path.join(out, "embeddings.ckpt")
-    if not os.path.exists(path):
-        _, _, _, trust = prepared()
+    def embed(out):
+        _, _, trust = prepared()
         table = node_embeddings(trust, config.walks)
         _check_finite("embeddings", table.vectors)
-        os.makedirs(out, exist_ok=True)
-        save_checkpoint(path, "embeddings", {"vectors": table.vectors})
-    _finish_stage(config.work_dir, "embed", key)
-    return path
+        save_checkpoint(os.path.join(out, "embeddings.ckpt"), "embeddings", {"vectors": table.vectors})
 
+    embed_key = _stage_key(_render(values, ("walks",)), prep_key)
+    embed_path = os.path.join(_run_stage(work, "embed", embed_key, embed), "embeddings.ckpt")
 
-def cmd_train(config, values):
-    """Autoencoders, graph analysis, embeddings, then factor-model SGD."""
-    prep = _current_stage(config.work_dir, "prepare")
-    prep_key = os.path.basename(prep).split("-", 1)[1]
-    # parsed at most once, and only if some stage misses the cache
-    prepared = functools.cache(lambda: _load_prepared(config))
-    ae_path = _autoencoder_stage(config, values, prep_key, prepared)
-    graph_path = _graph_stage(config, values, prep_key, prepared)
-    embed_path = _embed_stage(config, values, prep_key, prepared)
+    def model(out):
+        ctx, (init_p, init_q) = _load_context(config, prepared()[0])
+        params, history = train(ctx, config.model, init_p, init_q)
+        _check_finite("the training objective", history)
+        _check_finite("model parameters", params.P, params.Q, params.W)
+        save_params(params, os.path.join(out, "model.ckpt"))
+        with open(os.path.join(out, "objective.log"), "w") as fh:
+            for value in history:
+                fh.write(f"{value!r}\n")
 
     key = _stage_key(
         _render(values, ("model",)),
@@ -436,33 +436,7 @@ def cmd_train(config, values):
         _hash_file(graph_path),
         _hash_file(embed_path),
     )
-    out = _stage_dir(config.work_dir, "train", key)
-    ckpt = os.path.join(out, "model.ckpt")
-    if not os.path.exists(ckpt):
-        _, train_split, _, _ = prepared()
-        _, arrays, _ = load_checkpoint(ae_path, expect_kind="ae-codes")
-        communities, leaders, propagated = _load_graph_stage(
-            graph_path, config.graph.decay, config.graph.max_depth
-        )
-        _, emb_arrays, _ = load_checkpoint(embed_path, expect_kind="embeddings")
-        ctx = TrainingContext(
-            train_split,
-            trust=propagated,
-            embeddings=EmbeddingTable(emb_arrays["vectors"]),
-            communities=communities,
-            leaders=leaders,
-        )
-        params, history = train(ctx, config.model, arrays["init_P"], arrays["init_Q"])
-        if not all(np.isfinite(history)):
-            raise NumericError("objective became non-finite during training")
-        _check_finite("model parameters", params.P, params.Q, params.W)
-        os.makedirs(out, exist_ok=True)
-        save_params(params, ckpt)
-        with open(os.path.join(out, "objective.log"), "w") as fh:
-            for value in history:
-                fh.write(f"{value!r}\n")
-    _finish_stage(config.work_dir, "train", key)
-    return ckpt
+    return os.path.join(_run_stage(work, "train", key, model), "model.ckpt")
 
 
 def cmd_evaluate(config, values, ablate=False, baseline_mean=False):
@@ -470,42 +444,16 @@ def cmd_evaluate(config, values, ablate=False, baseline_mean=False):
 
     The ladder reads propagated trust from ``graph.ckpt``, not ``trust.txt``.
     """
-    _, train_split, test_split, _ = _load_prepared(config, train=ablate or baseline_mean, trust=False)
-    train_dir = _current_stage(config.work_dir, "train")
-    ckpt = os.path.join(train_dir, "model.ckpt")
-    if not os.path.exists(ckpt):
-        raise ConfigError(f"missing checkpoint {ckpt}; run train first")
-    params = load_params(ckpt)
-    embed_path = os.path.join(_current_stage(config.work_dir, "embed"), "embeddings.ckpt")
-    _, emb_arrays, _ = load_checkpoint(embed_path, expect_kind="embeddings")
-    embeddings = EmbeddingTable(emb_arrays["vectors"])
-
-    reports = [
-        evaluation.evaluate(
-            params, embeddings, test_split, model_tag="full", seed=config.model.seed
-        )
-    ]
+    train_split, test_split, _ = _load_prepared(config, train=ablate or baseline_mean, trust=False)
+    params = load_params(_current_stage(config.work_dir, "train", "model.ckpt"))
     if ablate:
-        graph_path = os.path.join(_current_stage(config.work_dir, "graph"), "graph.ckpt")
-        communities, leaders, propagated = _load_graph_stage(
-            graph_path, config.graph.decay, config.graph.max_depth
-        )
-        ae_path = os.path.join(_current_stage(config.work_dir, "autoencoder"), "codes.ckpt")
-        _, arrays, _ = load_checkpoint(ae_path, expect_kind="ae-codes")
-        ctx = TrainingContext(
-            train_split,
-            trust=propagated,
-            embeddings=embeddings,
-            communities=communities,
-            leaders=leaders,
-        )
-        reports = evaluation.run_ablations(
-            ctx,
-            config.model,
-            test_split,
-            ae_init=(arrays["init_P"], arrays["init_Q"]),
-            full_params=params,
-        )
+        ctx, ae_init = _load_context(config, train_split)
+        reports = evaluation.run_ablations(ctx, config.model, test_split, ae_init=ae_init, full_params=params)
+    else:
+        embeddings = _load_embeddings(config.work_dir)
+        reports = [
+            evaluation.evaluate(params, embeddings, test_split, model_tag="full", seed=config.model.seed)
+        ]
     if baseline_mean:
         reports.append(
             evaluation.constant_baseline(global_mean(train_split), test_split, model_tag="mean")

@@ -11,7 +11,6 @@ whitespace-separated.  Lines starting with ``#`` are comments.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 
 
 class DataFormatError(ValueError):
@@ -117,13 +116,6 @@ class RatingMatrix:
         if num_users < self.num_users:
             raise ValueError("cannot shrink the user space")
         return replace(self, num_users=num_users)
-
-    def to_csr(self):
-        """Users-by-items scipy CSR matrix of the stored ratings."""
-        return sparse.csr_matrix(
-            (self.values, (self.users, self.items)),
-            shape=(self.num_users, self.num_items),
-        )
 
     def user_counts(self):
         """Number of stored ratings per user, shape (num_users,)."""

@@ -5,7 +5,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autoencoder as ae
-from .model import TrainingContext, init_params, train
+from .model import init_params, predict, train
 
 
 def rmse(pairs):
@@ -40,41 +40,24 @@ class EvalReport:
         return cls(tag, float(value), int(n), int(seed))
 
 
-def _raw_predictions(params, embeddings, users, items):
-    """Predictions with out-of-range users/items contributing zero factors."""
-    preds = np.zeros(len(users))
-    known = (users < params.num_users) & (items < params.num_items)
-    u, i = users[known], items[known]
-    a = params.P[:, u]
-    if embeddings is not None:
-        a = a + params.W[:, None] * embeddings.vectors[u].T
-    preds[known] = (a * params.Q[:, i]).sum(axis=0)
-    return preds
-
-
 def evaluate(params, embeddings, test, model_tag="model", seed=0, config=None):
-    """Clamped-prediction RMSE of a trained model on a held-out split.
+    """Clamped-prediction RMSE of a trained model on a non-empty held-out split.
 
     Predictions are clipped to the rating scale before scoring.  Users or
     items beyond the trained shapes predict zero pre-clamp rather than
     raising, so cold entries degrade gracefully.
     """
-    if len(test) == 0:
-        raise ValueError("test split is empty")
-    preds = _raw_predictions(params, embeddings, test.users, test.items)
+    preds = np.zeros(len(test))
+    known = (test.users < params.num_users) & (test.items < params.num_items)
+    preds[known] = predict(params, embeddings, test.users[known], test.items[known])
     preds = np.clip(preds, test.r_min, test.r_max)
-    residuals = test.values - preds
-    value = float(np.sqrt(residuals @ residuals / len(residuals)))
-    return EvalReport(model_tag, value, len(test), seed, config)
+    return EvalReport(model_tag, rmse(np.column_stack([test.values, preds])), len(test), seed, config)
 
 
 def constant_baseline(value, test, model_tag="constant"):
     """RMSE of predicting one clamped constant (such as the train mean) everywhere."""
-    if len(test) == 0:
-        raise ValueError("test split is empty")
     pred = min(max(value, test.r_min), test.r_max)
-    residuals = test.values - pred
-    score = float(np.sqrt(residuals @ residuals / len(residuals)))
+    score = rmse(np.column_stack([test.values, np.full(len(test), pred)]))
     return EvalReport(model_tag, score, len(test), 0)
 
 

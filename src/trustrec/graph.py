@@ -59,12 +59,6 @@ class CommunityAssignment:
     num_communities: int
     modularity: float
 
-    def members(self, community):
-        return np.flatnonzero(self.labels == community)
-
-    def sizes(self):
-        return np.bincount(self.labels, minlength=self.num_communities)
-
 
 def louvain(graph, seed=0):
     """Two-phase greedy modularity maximization on the symmetrized trust graph.
@@ -236,12 +230,16 @@ _CENTRALITY_METHODS = {
 }
 
 
-def centrality(graph, method="pagerank", **kwargs):
-    """Centrality of every user in the full directed trust graph."""
+def _centrality_method(method):
     try:
-        fn = _CENTRALITY_METHODS[method]
+        return _CENTRALITY_METHODS[method]
     except KeyError:
         raise ValueError(f"unknown centrality method {method!r}") from None
+
+
+def centrality(graph, method="pagerank", **kwargs):
+    """Centrality of every user in the full directed trust graph."""
+    fn = _centrality_method(method)
     return CentralityScores(fn(directed_adjacency(graph), **kwargs), method)
 
 
@@ -274,10 +272,7 @@ def community_leaders(graph, communities, method="pagerank", **kwargs):
     the community's members; ties go to the smallest user index.  Singleton
     communities lead themselves.
     """
-    try:
-        fn = _CENTRALITY_METHODS[method]
-    except KeyError:
-        raise ValueError(f"unknown centrality method {method!r}") from None
+    fn = _centrality_method(method)
     adjacency = directed_adjacency(graph)
     labels = communities.labels
     leaders = np.zeros(communities.num_communities, dtype=np.int64)

@@ -164,29 +164,20 @@ class _Tables:
         return self._social[key]
 
 
-def _check_index(value, bound, what):
-    if not 0 <= value < bound:
-        raise IndexError(f"{what} {value} out of range [0, {bound})")
+def predict(params, embeddings, users, items):
+    """Raw predicted ratings (P_u + W ⊙ X_u)ᵀ Q_i for parallel index arrays.
 
-
-def predict(params, embeddings, u, i):
-    """Raw predicted rating (P_u + W ⊙ X_u)ᵀ Q_i, not clamped to the scale.
-
-    Clamping belongs to evaluation; training gradients need the raw value.
-    With no embedding table the prediction reduces to P_uᵀQ_i.
+    Not clamped to the scale: clamping belongs to evaluation, and training
+    needs the raw value.  With no embedding table the prediction reduces to
+    P_uᵀQ_i.  A user or item outside the parameters' shapes raises IndexError.
     """
-    _check_index(u, params.num_users, "user")
-    _check_index(i, params.num_items, "item")
-    a = params.P[:, u]
+    users, items = np.asarray(users, dtype=np.intp), np.asarray(items, dtype=np.intp)
+    for index, bound, what in ((users, params.num_users, "user"), (items, params.num_items, "item")):
+        if index.size and (index.min() < 0 or index.max() >= bound):
+            raise IndexError(f"{what} index out of range [0, {bound})")
+    a = params.P[:, users]
     if embeddings is not None:
-        a = a + params.W * embeddings.vector(u)
-    return float(a @ params.Q[:, i])
-
-
-def predict_entries(params, tables_or_ctx, users, items):
-    """Vectorized raw predictions for parallel index arrays."""
-    tables = tables_or_ctx if isinstance(tables_or_ctx, _Tables) else _Tables(tables_or_ctx, params.k)
-    a = params.P[:, users] + params.W[:, None] * tables.X[users].T
+        a = a + params.W[:, None] * embeddings.vectors[users].T
     return (a * params.Q[:, items]).sum(axis=0)
 
 
@@ -199,7 +190,7 @@ def objective(params, ctx, hp, tables=None):
     """
     tables = tables or _Tables(ctx.validate(), hp.k)
     train = ctx.train
-    err = predict_entries(params, tables, train.users, train.items) - train.values
+    err = predict(params, ctx.embeddings, train.users, train.items) - train.values
     total = 0.5 * err @ err
     total += 0.5 * hp.lam_p * (params.P * params.P).sum()
     total += 0.5 * hp.lam_q * (params.Q * params.Q).sum()

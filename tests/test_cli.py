@@ -213,10 +213,46 @@ class TestPipeline:
         load_ratings = cli.load_ratings
         monkeypatch.setattr(cli, "load_ratings", counting)
         assert self.run(config, "train") == 0
-        assert sorted(loaded) == ["test.txt", "train.txt"]
+        assert loaded == ["train.txt"]
         loaded.clear()
         assert self.run(config, "train") == 0
         assert loaded == []
+
+    def interrupt_then_rerun(self, workspace, monkeypatch, command, writer):
+        """Crash ``command`` right after ``writer`` has written; the stage's files after a rerun."""
+        tmp_path, config_path = workspace
+        config = config_path()
+        if command == "train":
+            assert self.run(config, "prepare") == 0
+        write = getattr(cli, writer)
+
+        class Interrupted(Exception):
+            pass
+
+        def write_then_crash(*args, **kwargs):
+            write(*args, **kwargs)
+            raise Interrupted
+
+        monkeypatch.setattr(cli, writer, write_then_crash)
+        with pytest.raises(Interrupted):
+            self.run(config, command)
+        work = tmp_path / "work"
+        # a half-made stage is never taken for a finished one
+        assert all(d.endswith(".tmp") for d in os.listdir(work) if d.startswith(command + "-"))
+        monkeypatch.setattr(cli, writer, write)
+        assert self.run(config, command) == 0
+        stage = [d for d in os.listdir(work) if d.startswith(command + "-")]
+        assert len(stage) == 1
+        assert not [d for d in os.listdir(work) if d.endswith(".tmp")]
+        return sorted(os.listdir(work / stage[0]))
+
+    def test_train_interrupted_after_checkpoint_is_redone(self, workspace, monkeypatch):
+        files = self.interrupt_then_rerun(workspace, monkeypatch, "train", "save_params")
+        assert files == ["model.ckpt", "objective.log"]
+
+    def test_prepare_interrupted_mid_write_is_redone(self, workspace, monkeypatch):
+        files = self.interrupt_then_rerun(workspace, monkeypatch, "prepare", "save_trust")
+        assert files == ["item_map.txt", "test.txt", "train.txt", "trust.txt", "user_map.txt"]
 
     def test_evaluate_parses_only_what_it_scores(self, workspace, monkeypatch):
         _, config_path = workspace

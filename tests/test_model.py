@@ -15,7 +15,6 @@ from trustrec.model import (
     load_params,
     objective,
     predict,
-    predict_entries,
     save_params,
     sgd_epoch,
     train,
@@ -97,45 +96,47 @@ class TestPredict:
             np.array([[1.0], [0.0]]), np.array([[2.0], [3.0]]), np.array([1.0, 1.0])
         )
         table = EmbeddingTable(np.array([[0.0, 1.0]]))
-        assert predict(params, table, 0, 0) == 5.0
+        assert predict(params, table, [0], [0]).tolist() == [5.0]
 
     def test_zero_weights_reduce_to_plain_factors(self):
         rng = np.random.default_rng(0)
         params = ModelParams(rng.normal(size=(3, 4)), rng.normal(size=(3, 5)), np.zeros(3))
         table = EmbeddingTable(rng.normal(size=(4, 3)))
-        for u in range(4):
-            for i in range(5):
-                assert predict(params, table, u, i) == pytest.approx(
-                    float(params.P[:, u] @ params.Q[:, i]), abs=1e-15
-                )
+        users, items = np.divmod(np.arange(20), 5)
+        np.testing.assert_allclose(
+            predict(params, table, users, items), (params.P.T @ params.Q).ravel(), rtol=0, atol=1e-15
+        )
 
     def test_zero_factors_predict_zero(self):
         params = ModelParams(np.zeros((2, 1)), np.ones((2, 1)), np.ones(2))
         table = EmbeddingTable(np.zeros((1, 2)))
-        assert predict(params, table, 0, 0) == 0.0
+        assert predict(params, table, [0], [0]).tolist() == [0.0]
 
     def test_no_embedding_table_means_plain_dot(self):
         params = ModelParams(
             np.array([[2.0], [1.0]]), np.array([[1.0], [3.0]]), np.array([5.0, 5.0])
         )
-        assert predict(params, None, 0, 0) == 5.0
+        assert predict(params, None, [0], [0]).tolist() == [5.0]
 
     def test_index_out_of_range(self):
         params = ModelParams(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros(2))
         with pytest.raises(IndexError):
-            predict(params, None, 3, 0)
+            predict(params, None, [0, 3], [0, 0])
         with pytest.raises(IndexError):
-            predict(params, None, 0, 4)
+            predict(params, None, [0, 0], [0, 4])
         with pytest.raises(IndexError):
-            predict(params, None, -1, 0)
+            predict(params, None, [-1, 0], [0, 0])
+        with pytest.raises(IndexError):
+            predict(params, None, [0, 0], [0, -1])
+        assert predict(params, None, [], []).shape == (0,)
 
     def test_vectorized_matches_scalar(self, make_context):
         rng = np.random.default_rng(2)
         ctx = make_context(rng, 6, 5, 3)
         params = ModelParams(rng.normal(size=(3, 6)), rng.normal(size=(3, 5)), rng.normal(size=3))
-        got = predict_entries(params, ctx, ctx.train.users, ctx.train.items)
+        got = predict(params, ctx.embeddings, ctx.train.users, ctx.train.items)
         expected = [
-            predict(params, ctx.embeddings, int(u), int(i))
+            float((params.P[:, u] + params.W * ctx.embeddings.vectors[u]) @ params.Q[:, i])
             for u, i in zip(ctx.train.users, ctx.train.items)
         ]
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
@@ -523,7 +524,7 @@ class TestTrain:
         )
         start = init_params(40, 40, hp)
         best, _ = train(ctx, hp, start.P, start.Q)
-        pred = predict_entries(best, ctx, ratings.users, ratings.items)
+        pred = predict(best, ctx.embeddings, ratings.users, ratings.items)
         fit = float(np.sqrt(np.mean((pred - ratings.values) ** 2)))
         assert fit <= 0.1 + 0.05
 
