@@ -23,7 +23,6 @@ array given without a mask counts every position as observed.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 # Self-normalizing unit constants (Klambauer et al.).
 SELU_LAMBDA = 1.0507009873554805
@@ -130,6 +129,7 @@ class RatingRows:
 
         ``targets`` is read only at observed positions.
         """
+        from scipy import sparse
         targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
         if mask is None:
             observed = np.ones(targets.shape, dtype=bool)
@@ -238,6 +238,7 @@ def loss_and_gradients(model, targets, mask=None):
     Returns:
         (loss, weight_grads, bias_grads) with grads parallel to the model lists.
     """
+    from scipy import sparse
     batch = _as_rows(targets, mask)
     acts, pres = forward(model, batch)
     observed = batch.matrix.nnz
@@ -312,6 +313,7 @@ def rating_rows(ratings, axis="users"):
     one row per item over users.  Every stored rating is an entry, a rating
     of exactly 0.0 included.
     """
+    from scipy import sparse
     if axis not in ("users", "items"):
         raise ValueError("axis must be 'users' or 'items'")
     rows, cols = ratings.users, ratings.items

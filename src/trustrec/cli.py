@@ -28,7 +28,9 @@ from .autoencoder import AutoencoderConfig
 from .data import (
     DataFormatError,
     IdMap,
+    RatingMatrix,
     SplitSpec,
+    TrustGraph,
     load_ratings,
     load_trust,
     save_ratings,
@@ -310,6 +312,12 @@ def cmd_prepare(config, values):
         user_map.save(os.path.join(out, "user_map.txt"))
         item_map.save(os.path.join(out, "item_map.txt"))
         save_trust(trust, os.path.join(out, "trust.txt"), user_map)
+        # the same data in internal indices, so later commands parse no text
+        arrays = {name: np.column_stack([s.users, s.items, s.values])
+                  for name, s in (("train", train_split), ("test", test_split))}
+        arrays["trust"] = np.array(list(trust.edges()), dtype=np.float64).reshape(-1, 3)
+        meta = {"num_users": ratings.num_users, "num_items": ratings.num_items}
+        save_checkpoint(os.path.join(out, "split.ckpt"), "split", arrays, meta)
 
     key = _stage_key(
         _render(values, ("data", "split")),
@@ -319,24 +327,23 @@ def cmd_prepare(config, values):
     return _run_stage(config.work_dir, "prepare", key, produce)
 
 
-def _load_prepared(config, train=True, test=True, trust=True):
-    """Reload cached splits through the saved id maps so indices line up.
+def _load_prepared(config, trust=True):
+    """Train split, test split and trust graph (None unless asked for) from ``split.ckpt``.
 
-    Each of the train split, the test split and the trust graph is None
-    unless asked for.
+    Each equals a reparse of the prepared text files through the saved id
+    maps: the graph is rebuilt in its saved edge order, so every later stage
+    sees the same neighbor order.
     """
-    prep = _current_stage(config.work_dir, "prepare")
-    user_map = IdMap.load(os.path.join(prep, "user_map.txt"))
-    item_map = IdMap.load(os.path.join(prep, "item_map.txt"))
+    path = _current_stage(config.work_dir, "prepare", "split.ckpt")
+    _, arrays, meta = load_checkpoint(path, expect_kind="split")
+    num_users, num_items = meta["num_users"], meta["num_items"]
 
-    def reload(name):
-        ratings = load_ratings(os.path.join(prep, name), config.scale, user_map, item_map)
-        return ratings.with_num_users(len(user_map))
+    def ratings(name):
+        users, items, values = np.ascontiguousarray(arrays[name].T)
+        return RatingMatrix(num_users, num_items, users, items, values, *config.scale)
 
-    train_split = reload("train.txt") if train else None
-    test_split = reload("test.txt") if test else None
-    graph = load_trust(os.path.join(prep, "trust.txt"), user_map) if trust else None
-    return train_split, test_split, graph
+    graph = TrustGraph.from_edges(num_users, arrays["trust"].tolist()) if trust else None
+    return ratings("train"), ratings("test"), graph
 
 
 def _check_finite(name, *arrays):
@@ -373,8 +380,8 @@ def cmd_train(config, values):
     """Autoencoders, graph analysis, embeddings, then factor-model SGD."""
     work = config.work_dir
     prep_key = os.path.basename(_current_stage(work, "prepare")).split("-", 1)[1]
-    # parsed at most once, and only if some stage misses the cache
-    prepared = functools.cache(lambda: _load_prepared(config, test=False))
+    # loaded at most once, and only if some stage misses the cache
+    prepared = functools.cache(lambda: _load_prepared(config))
 
     def autoencoder(out):
         train_split, _, _ = prepared()
@@ -444,7 +451,7 @@ def cmd_evaluate(config, values, ablate=False, baseline_mean=False):
 
     The ladder reads propagated trust from ``graph.ckpt``, not ``trust.txt``.
     """
-    train_split, test_split, _ = _load_prepared(config, train=ablate or baseline_mean, trust=False)
+    train_split, test_split, _ = _load_prepared(config, trust=False)
     params = load_params(_current_stage(config.work_dir, "train", "model.ckpt"))
     if ablate:
         ctx, ae_init = _load_context(config, train_split)

@@ -163,6 +163,14 @@ class TrustGraph:
             self._num_edges += 1
         nbrs[trustee] = value
 
+    @classmethod
+    def from_edges(cls, num_users, edges, self_loops_skipped=0):
+        """Graph of the (truster, trustee, value) triples, added in order."""
+        graph = cls(num_users, self_loops_skipped)
+        for u, v, t in edges:
+            graph.add_edge(int(u), int(v), t)
+        return graph
+
     @property
     def num_edges(self):
         return self._num_edges
@@ -262,10 +270,7 @@ def load_trust(path, user_map):
         if not 0.0 < value <= 1.0:
             raise DataFormatError(path, line_no, f"trust value {value} outside (0, 1]")
         parsed.append((user_map.add(ext_u), user_map.add(ext_v), value))
-    graph = TrustGraph(len(user_map), self_loops_skipped=skipped)
-    for u, v, t in parsed:
-        graph.add_edge(u, v, t)
-    return graph
+    return TrustGraph.from_edges(len(user_map), parsed, skipped)
 
 
 def save_trust(graph, path, user_map):

@@ -17,8 +17,6 @@ sampling from the 3/4-power unigram distribution over walk occurrences.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.special import expit
 
 from .graph import symmetrized_adjacency
 from .scatter import add_rows
@@ -73,6 +71,7 @@ def step_distribution(adjacency, prev, cur, p, q):
     Returns (candidates, probabilities) over the neighbors of ``cur``; with
     ``prev`` None the distribution is simply edge-weight proportional.
     """
+    from scipy import sparse
     adjacency = sparse.csr_matrix(adjacency)
     lo, hi = adjacency.indptr[cur], adjacency.indptr[cur + 1]
     candidates = adjacency.indices[lo:hi]
@@ -157,6 +156,7 @@ def generate_walks(graph_or_adjacency, config, nodes=None):
     of ``nodes``.  The result lists each start node's ``num_walks`` walks
     together, in ``nodes`` order.
     """
+    from scipy import sparse
     if sparse.issparse(graph_or_adjacency):
         adjacency = sparse.csr_matrix(graph_or_adjacency)
     else:
@@ -204,6 +204,29 @@ def _walk_pairs(walks, window):
     return np.concatenate(centers), np.concatenate(contexts)
 
 
+def _inverse_cdf(cdf):
+    """Sampler ``u -> np.searchsorted(cdf, u)`` for u in [0, 1), exact and faster.
+
+    [0, 1) splits into M = 16·2^⌈log2 n⌉ equal buckets; M is a power of two,
+    so ``u * M`` floors exactly to u's bucket.  Where no CDF value lies inside
+    a bucket, every u in it has the answer its lower edge has; only draws in
+    the few other buckets run a binary search.
+    """
+    buckets = 16 << (len(cdf) - 1).bit_length()
+    bounds = np.searchsorted(cdf, np.arange(buckets + 1) / buckets)
+    lo, hi = bounds[:-1], bounds[1:]
+
+    def sample(u):
+        flat = u.ravel()
+        bucket = (flat * buckets).astype(np.intp)
+        found = lo[bucket]
+        open_ = np.flatnonzero(found != hi[bucket])
+        found[open_] = np.searchsorted(cdf, flat[open_])
+        return found.reshape(u.shape)
+
+    return sample
+
+
 def train_embeddings(walks, num_nodes, config):
     """Skip-gram with negative sampling over the walk corpus.
 
@@ -213,6 +236,7 @@ def train_embeddings(walks, num_nodes, config):
     all batches.  Fixed seed in, identical table out.  Nodes that never
     appear in a walk come back as zero vectors.
     """
+    from scipy.special import expit
     d = config.dimensions
     rng = np.random.default_rng(config.seed)
     inputs = rng.uniform(-0.5 / d, 0.5 / d, size=(num_nodes, d))
@@ -225,7 +249,7 @@ def train_embeddings(walks, num_nodes, config):
     if counts.sum() == 0:
         return EmbeddingTable(np.zeros((num_nodes, d)))
     noise = counts**0.75
-    noise_cdf = np.cumsum(noise / noise.sum())
+    draw_negatives = _inverse_cdf(np.cumsum(noise / noise.sum()))
 
     centers, ctxs = _walk_pairs(walks, config.window)
     if len(centers) == 0:
@@ -245,7 +269,7 @@ def train_embeddings(walks, num_nodes, config):
             batch_idx += 1
             c = centers[sel]
             o = ctxs[sel]
-            negs = np.searchsorted(noise_cdf, rng.random((len(sel), config.negatives)))
+            negs = draw_negatives(rng.random((len(sel), config.negatives)))
 
             u = inputs[c]
             v_pos = contexts[o]

@@ -9,7 +9,6 @@ edge directions.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 # Gains this close are treated as ties so float noise cannot flip a move.
 _GAIN_EPS = 1e-12
@@ -17,6 +16,7 @@ _GAIN_EPS = 1e-12
 
 def directed_adjacency(graph):
     """CSR matrix of the directed trust edges, A[u, v] = t_uv."""
+    from scipy import sparse
     rows, cols, vals = [], [], []
     for u, v, t in graph.edges():
         rows.append(u)
@@ -39,6 +39,7 @@ def modularity(adjacency, labels):
     community's internal weight w appears as A_ii = 2w).  A graph with no
     edges has modularity zero by definition.
     """
+    from scipy import sparse
     adjacency = sparse.csr_matrix(adjacency)
     labels = np.asarray(labels)
     two_w = adjacency.sum()
@@ -147,6 +148,7 @@ def _aggregate(adjacency, labels):
     Each stored (i, j) entry lands in (c_i, c_j), so an internal undirected
     edge contributes its weight twice to the new diagonal.
     """
+    from scipy import sparse
     coo = adjacency.tocoo()
     k = int(labels.max()) + 1
     agg = sparse.csr_matrix((coo.data, (labels[coo.row], labels[coo.col])), shape=(k, k))
@@ -169,6 +171,7 @@ def pagerank(adjacency, damping=0.85, tol=1e-10, max_iter=1000):
     nodes with no out-edges is spread uniformly.  Iteration stops when the L1
     change drops below ``tol``.
     """
+    from scipy import sparse
     adjacency = sparse.csr_matrix(adjacency)
     n = adjacency.shape[0]
     if n == 0:
@@ -191,6 +194,7 @@ def pagerank(adjacency, damping=0.85, tol=1e-10, max_iter=1000):
 
 def hits_authority(adjacency, tol=1e-10, max_iter=1000):
     """Authority scores from the HITS mutual-reinforcement iteration."""
+    from scipy import sparse
     adjacency = sparse.csr_matrix(adjacency)
     n = adjacency.shape[0]
     if n == 0:
@@ -213,6 +217,7 @@ def hits_authority(adjacency, tol=1e-10, max_iter=1000):
 
 def degree_centrality(adjacency):
     """In-degree plus out-degree edge counts, normalized to sum to one."""
+    from scipy import sparse
     adjacency = sparse.csr_matrix(adjacency)
     n = adjacency.shape[0]
     counts = np.zeros(n)

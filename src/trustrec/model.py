@@ -15,7 +15,6 @@ Q has shape (k, num_items), so P[:, u] is user u's vector.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .scatter import add_rows
 from .serialize import load_checkpoint, save_checkpoint
@@ -149,6 +148,7 @@ class _Tables:
         """
         key = (lam_t, lam_c)
         if key not in self._social:
+            from scipy import sparse
             m = len(self.user_leaders)
             members = np.flatnonzero(self.user_leaders >= 0)
             heads = self.user_leaders[members]

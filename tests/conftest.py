@@ -4,7 +4,6 @@ import pytest
 from trustrec.data import RatingMatrix, TrustGraph, split, SplitSpec
 from trustrec.embed import EmbeddingTable, WalkConfig, node_embeddings
 from trustrec.graph import (
-    CommunityAssignment,
     LeaderTable,
     PropagatedTrust,
     community_leaders,

@@ -13,19 +13,15 @@ from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
-import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from trustrec.autoencoder import (
     AutoencoderConfig,
-    encode,
     forward,
     init_autoencoder,
     loss_and_gradients,
     masked_mse,
-    rating_arrays,
-    train_autoencoder,
 )
 from trustrec.cli import main as cli_main
 from trustrec.data import (
@@ -37,7 +33,7 @@ from trustrec.data import (
     split,
     subsample_top_trust_users,
 )
-from trustrec.embed import WalkConfig, cosine_similarity, generate_walks, node_embeddings, step_distribution, train_embeddings
+from trustrec.embed import WalkConfig, cosine_similarity, generate_walks, node_embeddings, step_distribution
 from trustrec.evaluation import evaluate, rmse, run_ablations, autoencoder_inits
 from trustrec.graph import community_leaders, louvain, modularity, pagerank, propagate_trust
 from trustrec.model import HyperParams, ModelParams, TrainingContext, gradients, init_params, objective, train

@@ -21,6 +21,7 @@ from trustrec.cli import (
     main,
     parse_config_file,
 )
+from trustrec.data import IdMap, load_ratings, load_trust
 
 BASE_CONFIG = """\
 paths.ratings = {ratings}
@@ -213,8 +214,7 @@ class TestPipeline:
         load_ratings = cli.load_ratings
         monkeypatch.setattr(cli, "load_ratings", counting)
         assert self.run(config, "train") == 0
-        assert loaded == ["train.txt"]
-        loaded.clear()
+        assert loaded == []
         assert self.run(config, "train") == 0
         assert loaded == []
 
@@ -252,7 +252,7 @@ class TestPipeline:
 
     def test_prepare_interrupted_mid_write_is_redone(self, workspace, monkeypatch):
         files = self.interrupt_then_rerun(workspace, monkeypatch, "prepare", "save_trust")
-        assert files == ["item_map.txt", "test.txt", "train.txt", "trust.txt", "user_map.txt"]
+        assert files == ["item_map.txt", "split.ckpt", "test.txt", "train.txt", "trust.txt", "user_map.txt"]
 
     def test_evaluate_parses_only_what_it_scores(self, workspace, monkeypatch):
         _, config_path = workspace
@@ -271,11 +271,69 @@ class TestPipeline:
         monkeypatch.setattr(cli, "load_ratings", counting(cli.load_ratings))
         monkeypatch.setattr(cli, "load_trust", counting(cli.load_trust))
         assert self.run(config, "evaluate") == 0
-        assert loaded == ["test.txt"]
+        assert loaded == []
         for flag in ("--ablate", "--baseline-mean"):
-            loaded.clear()
             assert self.run(config, "evaluate", flag) == 0
-            assert sorted(loaded) == ["test.txt", "train.txt"]
+            assert loaded == []
+
+    def test_split_checkpoint_equals_text_reparse(self, tmp_path):
+        ratings = tmp_path / "ratings.txt"
+        # a stored 0.0 on a scale around zero, and users 7 and 8 only in the trust file
+        ratings.write_text("1,10,0.0\n2,10,-2.0\n1,11,1.5\n3,12,2.0\n2,12,0.0\n3,10,-0.5\n4,11,1.0\n")
+        trust = tmp_path / "trust.txt"
+        trust.write_text("3,1\n7,2,0.5\n1,3,0.25\n8,8\n1,8\n2,7,0.75\n3,4\n")
+        config_file = tmp_path / "config.txt"
+        config_file.write_text(
+            f"paths.ratings = {ratings}\npaths.trust = {trust}\npaths.work = {tmp_path / 'work'}\n"
+            "data.scale_min = -2\ndata.scale_max = 2\nsplit.train_fraction = 0.6\n"
+        )
+        assert main(["--config", str(config_file), "prepare"]) == 0
+        config, _ = build_config(parse_config_file(str(config_file)))
+        train_split, test_split, graph = cli._load_prepared(config)
+
+        prep = cli._current_stage(config.work_dir, "prepare")
+        user_map = IdMap.load(os.path.join(prep, "user_map.txt"))
+        item_map = IdMap.load(os.path.join(prep, "item_map.txt"))
+        for loaded, name in ((train_split, "train.txt"), (test_split, "test.txt")):
+            parsed = load_ratings(os.path.join(prep, name), config.scale, user_map, item_map)
+            parsed = parsed.with_num_users(len(user_map))
+            assert (loaded.num_users, loaded.num_items) == (parsed.num_users, parsed.num_items) == (6, 3)
+            assert (loaded.r_min, loaded.r_max) == (parsed.r_min, parsed.r_max) == (-2.0, 2.0)
+            for field in ("users", "items", "values"):
+                got, want = getattr(loaded, field), getattr(parsed, field)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+        assert 0.0 in np.concatenate([train_split.values, test_split.values])
+        parsed_graph = load_trust(os.path.join(prep, "trust.txt"), user_map)
+        assert graph.num_users == parsed_graph.num_users == 6
+        assert list(graph.edges()) == list(parsed_graph.edges())
+        assert graph.num_edges == parsed_graph.num_edges == 6
+        assert graph.self_loops_skipped == parsed_graph.self_loops_skipped
+
+    def test_commands_load_only_the_scipy_they_use(self, workspace):
+        _, config_path = workspace
+        config = config_path()
+        probe = (
+            "import json, sys\n"
+            "from trustrec.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(trustrec.__file__)))
+
+        def scipy_modules(*command):
+            done = subprocess.run(
+                [sys.executable, "-c", probe, "--config", config, *command],
+                capture_output=True, text=True, check=True, env=env,
+            )
+            return json.loads(done.stdout.strip().splitlines()[-1])
+
+        assert scipy_modules("prepare") == []
+        assert "scipy.special" in scipy_modules("train")
+        assert scipy_modules("evaluate") == []
+        ablate = scipy_modules("evaluate", "--ablate")
+        assert "scipy.sparse" in ablate
+        assert not [m for m in ablate if m == "scipy.special" or m.startswith("scipy.special.")]
 
     def test_changed_source_misses_the_stage_cache(self, workspace):
         tmp_path, config_path = workspace

@@ -7,8 +7,8 @@ from scipy.special import expit
 from oracles import central_difference, gradient_gap, reference_walks
 from trustrec.data import TrustGraph
 from trustrec.embed import (
-    EmbeddingTable,
     WalkConfig,
+    _inverse_cdf,
     cosine_similarity,
     generate_walks,
     node_embeddings,
@@ -271,6 +271,61 @@ class TestSkipGram:
         table = train_embeddings(walks, 5, config)
         np.testing.assert_array_equal(table.vectors[2:], np.zeros((3, 3)))
         assert np.abs(table.vectors[:2]).sum() > 0
+
+
+class TestNegativeSampler:
+    """The bucketed sampler must give exactly np.searchsorted(cdf, u, side="left")."""
+
+    @staticmethod
+    def noise_cdf(counts):
+        noise = np.asarray(counts, dtype=np.float64) ** 0.75
+        return np.cumsum(noise / noise.sum())
+
+    def assert_matches_searchsorted(self, cdf, u):
+        got = _inverse_cdf(cdf)(u)
+        want = np.searchsorted(cdf, u, side="left")
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def edge_draws(self, cdf, rng):
+        inside = cdf[cdf < 1.0]
+        u = np.concatenate([
+            [0.0, np.nextafter(1.0, 0.0)],
+            inside,  # u equal to a CDF value
+            np.nextafter(inside, 0.0),
+            np.nextafter(inside, 1.0),
+            rng.random(4000),
+        ])
+        return u[u < 1.0]  # rng.random's range
+
+    def test_zero_count_runs(self):
+        # leading, interior and trailing runs of nodes no walk visits
+        counts = np.zeros(300)
+        counts[[40, 41, 45, 150, 151, 152, 290]] = [3, 1, 7, 2, 2, 9, 4]
+        cdf = self.noise_cdf(counts)
+        assert cdf[0] == 0.0 and len(np.unique(cdf)) < 10
+        self.assert_matches_searchsorted(cdf, self.edge_draws(cdf, np.random.default_rng(0)))
+
+    def test_cdf_ending_below_one(self):
+        rng = np.random.default_rng(1)
+        short = 0
+        for _ in range(200):
+            counts = rng.integers(0, 5, size=int(rng.integers(1, 200)))
+            counts[rng.random(len(counts)) < 0.5] = 0
+            if counts.sum() == 0:
+                continue
+            cdf = self.noise_cdf(counts)
+            short += cdf[-1] < 1.0
+            u = self.edge_draws(cdf, rng)
+            self.assert_matches_searchsorted(cdf, u.reshape(-1, 1))
+        assert short > 0
+
+    def test_batch_shape_kept(self):
+        cdf = self.noise_cdf([0, 2, 0, 0, 5, 1])
+        u = np.random.default_rng(2).random((64, 5))
+        u[0, 0] = 0.0
+        u[1, :] = cdf[:5]
+        self.assert_matches_searchsorted(cdf, u)
 
 
 class TestNodeEmbeddings:
