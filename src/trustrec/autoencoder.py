@@ -75,7 +75,12 @@ class AutoencoderConfig:
 
 @dataclass
 class AutoencoderModel:
-    """Weights and biases of a trained (or freshly initialized) stack."""
+    """Weights and biases of a trained (or freshly initialized) stack.
+
+    ``weights[-1]`` (W_L) is stored column-major, so that W_Lᵀ is a
+    C-contiguous view that batches read without a copy.  Results depend only
+    on the values: a C-ordered W_L gives the same bits, more slowly.
+    """
 
     weights: list
     biases: list
@@ -158,17 +163,17 @@ def init_autoencoder(num_visible, config, rng):
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
+    weights[-1] = np.asfortranarray(weights[-1])
     return AutoencoderModel(weights, biases, config.hidden_sizes)
 
 
 def _at_stored(h, w, b, rows):
     """``(h @ w + b)[r, c]`` at every stored (r, c) of ``rows``, in storage order."""
     r, c = rows.entry_rows, rows.matrix.indices
-    w_cols = np.ascontiguousarray(w.T)
     out = np.empty(len(c))
     for s in range(0, len(c), _ENTRY_BLOCK):
         e = s + _ENTRY_BLOCK
-        out[s:e] = np.einsum("ij,ij->i", h[r[s:e]], w_cols[c[s:e]])
+        out[s:e] = np.einsum("ij,ij->i", h[r[s:e]], w.T[c[s:e]])
     return out + b[c]
 
 
@@ -269,8 +274,9 @@ def train_autoencoder(targets, mask, config):
     """Fit a stack to the observed ratings by mini-batch SGD.
 
     Rows are shuffled each epoch with a generator seeded from the config, so
-    training is reproducible.  ``loss_history`` records the full-data masked
-    error after each epoch, from the same sparse forward pass.
+    training is reproducible.  ``loss_history[e]`` is epoch e's running loss:
+    its batches' masked errors, each taken before that batch's update,
+    averaged with the batches' observed counts as weights.
 
     Args:
         targets: RatingRows, or a (num_rows, num_visible) dense array.
@@ -286,14 +292,15 @@ def train_autoencoder(targets, mask, config):
     n = len(data)
     for _ in range(config.epochs):
         order = rng.permutation(n)
+        squared_error = 0.0
         for start in range(0, n, config.batch_size):
             batch = data.take(order[start : start + config.batch_size])
-            _, w_grads, b_grads = loss_and_gradients(model, batch)
+            loss, w_grads, b_grads = loss_and_gradients(model, batch)
+            squared_error += loss * batch.matrix.nnz
             for w, b, gw, gb in zip(model.weights, model.biases, w_grads, b_grads):
                 w -= config.learning_rate * gw
                 b -= config.learning_rate * gb
-        acts, _ = forward(model, data)
-        model.loss_history.append(masked_mse(acts[-1], data.values))
+        model.loss_history.append(squared_error / data.matrix.nnz)
     return model
 
 

@@ -227,6 +227,18 @@ def _inverse_cdf(cdf):
     return sample
 
 
+def _noise_cdf(counts):
+    """CDF of the 3/4-power unigram noise law over nodes.
+
+    It is exactly 1.0 from the last node with a positive count onwards: the
+    rounded sum can end short of 1.0, and a draw past it would select no node.
+    """
+    noise = counts**0.75
+    cdf = np.cumsum(noise / noise.sum())
+    cdf[np.flatnonzero(counts)[-1] :] = 1.0
+    return cdf
+
+
 def train_embeddings(walks, num_nodes, config):
     """Skip-gram with negative sampling over the walk corpus.
 
@@ -248,8 +260,7 @@ def train_embeddings(walks, num_nodes, config):
     unvisited = counts == 0
     if counts.sum() == 0:
         return EmbeddingTable(np.zeros((num_nodes, d)))
-    noise = counts**0.75
-    draw_negatives = _inverse_cdf(np.cumsum(noise / noise.sum()))
+    draw_negatives = _inverse_cdf(_noise_cdf(counts))
 
     centers, ctxs = _walk_pairs(walks, config.window)
     if len(centers) == 0:

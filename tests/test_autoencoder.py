@@ -14,6 +14,7 @@ from trustrec.autoencoder import (
     SELU_ALPHA,
     SELU_LAMBDA,
     AutoencoderConfig,
+    AutoencoderModel,
     RatingRows,
     encode,
     forward,
@@ -352,6 +353,75 @@ class TestSparseMatchesDenseOracle:
         rows = RatingRows.from_dense(np.ones((2, 3)))
         with pytest.raises(ValueError):
             loss_and_gradients(init_autoencoder(3, tiny_config(), np.random.default_rng(0)), rows, np.ones((2, 3)))
+
+
+class TestOutputWeightLayout:
+    """W_L is stored column-major; results depend only on its values."""
+
+    @staticmethod
+    def trained(epochs=3):
+        targets, mask = sparse_fixture(5, rows=20, cols=9)
+        config = tiny_config(hidden_sizes=(6, 3, 6), batch_size=6, epochs=epochs, seed=5)
+        return targets, mask, config, train_autoencoder(targets, mask, config)
+
+    def test_output_weights_transpose_is_c_contiguous(self):
+        *_, model = self.trained()
+        assert model.weights[-1].T.flags.c_contiguous
+
+    def test_c_ordered_copy_gives_identical_results(self):
+        targets, mask, _, model = self.trained()
+        c_model = AutoencoderModel(
+            [np.ascontiguousarray(w) for w in model.weights], model.biases, model.hidden_sizes
+        )
+        assert not c_model.weights[-1].T.flags.c_contiguous
+        batch = RatingRows.from_dense(targets, mask).take(np.array([7, 0, 3, 12]))
+        acts, pres = forward(model, batch)
+        c_acts, c_pres = forward(c_model, batch)
+        for x, y in zip([*acts[1:], *pres], [*c_acts[1:], *c_pres]):
+            np.testing.assert_array_equal(x, y)
+        loss, w_grads, b_grads = loss_and_gradients(model, batch)
+        c_loss, c_w_grads, c_b_grads = loss_and_gradients(c_model, batch)
+        assert loss == c_loss
+        for x, y in zip([*w_grads, *b_grads], [*c_w_grads, *c_b_grads]):
+            np.testing.assert_array_equal(x, y)
+
+    def test_loss_history_weights_each_batch_loss_by_its_count(self):
+        targets, mask, config, model = self.trained()
+        data = RatingRows.from_dense(targets, mask)
+        rng = np.random.default_rng(config.seed)
+        replay = init_autoencoder(data.num_visible, config, rng)
+        want = []
+        for _ in range(config.epochs):
+            order = rng.permutation(len(data))
+            losses, counts = [], []
+            for start in range(0, len(data), config.batch_size):
+                batch = data.take(order[start : start + config.batch_size])
+                loss, w_grads, b_grads = loss_and_gradients(replay, batch)
+                losses.append(loss)
+                counts.append(batch.matrix.nnz)
+                for w, b, gw, gb in zip(replay.weights, replay.biases, w_grads, b_grads):
+                    w -= config.learning_rate * gw
+                    b -= config.learning_rate * gb
+            want.append(sum(loss * count for loss, count in zip(losses, counts)) / sum(counts))
+        assert model.loss_history == want
+        for w, v in zip(model.weights, replay.weights):
+            np.testing.assert_array_equal(w, v)
+
+    def test_forward_runs_once_per_batch_and_never_on_the_full_data(self, monkeypatch):
+        import trustrec.autoencoder as ae
+
+        rows_seen = []
+        real_forward = ae.forward
+
+        def counting_forward(model, x):
+            rows_seen.append(len(x))
+            return real_forward(model, x)
+
+        monkeypatch.setattr(ae, "forward", counting_forward)
+        targets, _, config, _ = self.trained(epochs=4)
+        batches_per_epoch = -(-len(targets) // config.batch_size)
+        assert len(rows_seen) == config.epochs * batches_per_epoch
+        assert max(rows_seen) <= config.batch_size < len(targets)
 
 
 def test_autoencoder_inits_never_allocates_a_dense_side():

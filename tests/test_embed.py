@@ -9,6 +9,7 @@ from trustrec.data import TrustGraph
 from trustrec.embed import (
     WalkConfig,
     _inverse_cdf,
+    _noise_cdf,
     cosine_similarity,
     generate_walks,
     node_embeddings,
@@ -319,6 +320,20 @@ class TestNegativeSampler:
             u = self.edge_draws(cdf, rng)
             self.assert_matches_searchsorted(cdf, u.reshape(-1, 1))
         assert short > 0
+
+    @pytest.mark.parametrize("counts", [[1, 5, 5], [5, 0, 1, 5], [0, 3, 6, 3]])
+    @pytest.mark.parametrize("trailing_unvisited", [0, 3])
+    def test_draw_past_a_short_cdf_lands_on_last_visited_node(self, counts, trailing_unvisited):
+        counts = np.concatenate([counts, np.zeros(trailing_unvisited)])
+        plain = self.noise_cdf(counts)
+        assert plain[-1] < np.nextafter(1.0, 0.0)
+        u = np.concatenate([[np.nextafter(1.0, 0.0)], plain, np.random.default_rng(3).random(4000)])
+        before = np.searchsorted(plain, u)
+        assert before[0] == len(counts)  # one past the last row
+        got = _inverse_cdf(_noise_cdf(counts))(u)
+        kept = before < len(counts)
+        np.testing.assert_array_equal(got[kept], before[kept])
+        np.testing.assert_array_equal(got[~kept], np.flatnonzero(counts)[-1])
 
     def test_batch_shape_kept(self):
         cdf = self.noise_cdf([0, 2, 0, 0, 5, 1])
