@@ -11,10 +11,13 @@ start node's walk in lockstep over the shared CSR arrays, and draws exactly
 the walks a per-step loop over ``step_distribution`` would.
 
 The skip-gram trains input vectors against context vectors with negative
-sampling from the 3/4-power unigram distribution over walk occurrences.
+sampling from the 3/4-power unigram distribution over walk occurrences, in
+window batches (HogBatch, Ji et al. 2016): a walk position trains its whole
+window against its own node and one shared negative set.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -32,10 +35,10 @@ class WalkConfig:
     p: float = 1.0
     q: float = 1.0
     window: int = 5
-    negatives: int = 5
+    negatives: int = 5  # K, drawn once per walk position and shared by its window
     epochs: int = 1
     learning_rate: float = 0.025
-    batch_size: int = 1024
+    batch_size: int = 1024  # about this many pairs per step: batch_size // (2·window) positions
     seed: int = 0
 
     def __post_init__(self):
@@ -185,25 +188,6 @@ def generate_walks(graph_or_adjacency, config, nodes=None):
     return walks
 
 
-def _walk_pairs(walks, window):
-    """(center, context) index pairs from every walk under a fixed window."""
-    centers, contexts = [], []
-    for walk in walks:
-        arr = np.asarray(walk)
-        n = len(arr)
-        for offset in range(1, window + 1):
-            if n <= offset:
-                break
-            centers.append(arr[:-offset])
-            contexts.append(arr[offset:])
-            # symmetric: the trailing node also predicts the leading one
-            centers.append(arr[offset:])
-            contexts.append(arr[:-offset])
-    if not centers:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.concatenate(centers), np.concatenate(contexts)
-
-
 def _inverse_cdf(cdf):
     """Sampler ``u -> np.searchsorted(cdf, u)`` for u in [0, 1), exact and faster.
 
@@ -239,60 +223,75 @@ def _noise_cdf(counts):
     return cdf
 
 
+def _window_step(inputs, contexts, window, mask, outputs, lr):
+    """One SGNS step on a batch of walk positions, updating both tables in place.
+
+    Row t of ``window`` holds the nodes around position t in its walk, with
+    ``mask[t]`` marking the slots inside the walk.  Row t of ``outputs``
+    holds the position's own node (column 0, the positive) and then its K
+    negatives, which every input of the window shares.  The scores are one
+    batched product ``x @ yᵀ`` of shape (T, 2·window, K+1); every gradient
+    comes from the values before the step, and a masked slot adds zero.
+    """
+    x = inputs[window]
+    y = contexts[outputs]
+    # the logistic as 0.5·(1 + tanh(s/2)), which cannot overflow
+    g = 0.5 * (1.0 + np.tanh(0.5 * (x @ y.transpose(0, 2, 1))))
+    g[:, :, 0] -= 1.0
+    g *= mask[:, :, None]
+    add_rows(inputs, window.ravel(), -lr * (g @ y).reshape(window.size, -1))
+    add_rows(contexts, outputs.ravel(), -lr * (g.transpose(0, 2, 1) @ x).reshape(outputs.size, -1))
+
+
 def train_embeddings(walks, num_nodes, config):
-    """Skip-gram with negative sampling over the walk corpus.
+    """Skip-gram with negative sampling over the walk corpus, in window batches.
 
     Input vectors start uniform in [-0.5/d, 0.5/d], context vectors at zero.
-    Pairs are shuffled once per epoch and processed in vectorized batches;
-    the learning rate decays linearly to a tenth of its starting value over
-    all batches.  Fixed seed in, identical table out.  Nodes that never
-    appear in a walk come back as zero vectors.
+    The walks become one token array.  Each epoch shuffles the token
+    positions; a batch of ``cap // (2·window)`` positions covers about
+    ``cap`` pairs, ``cap`` being ``batch_size`` capped by the visited nodes.
+    A position trains the nodes within ``window`` steps of it in its walk
+    against its own node and K negatives from the 3/4-power unigram law,
+    drawn once for the window.  So an epoch trains the walks' symmetric
+    (center, context) pair set, each pair against a K-sample negative
+    estimate, in memory linear in the tokens.  The learning rate decays
+    linearly to a tenth of its start over all batches.  Fixed seed in,
+    identical table out; nodes in no walk come back as zero vectors.
     """
-    from scipy.special import expit
-    d = config.dimensions
+    d, w = config.dimensions, config.window
     rng = np.random.default_rng(config.seed)
     inputs = rng.uniform(-0.5 / d, 0.5 / d, size=(num_nodes, d))
     contexts = np.zeros((num_nodes, d))
 
-    counts = np.zeros(num_nodes)
-    for walk in walks:
-        counts += np.bincount(walk, minlength=num_nodes)
-    unvisited = counts == 0
-    if counts.sum() == 0:
+    lengths = np.array([len(walk) for walk in walks], dtype=np.int64)
+    tokens = np.fromiter(chain.from_iterable(walks), dtype=np.int64, count=int(lengths.sum()))
+    counts = np.bincount(tokens, minlength=num_nodes).astype(np.float64)
+    if len(tokens) == 0:
         return EmbeddingTable(np.zeros((num_nodes, d)))
     draw_negatives = _inverse_cdf(_noise_cdf(counts))
 
-    centers, ctxs = _walk_pairs(walks, config.window)
-    if len(centers) == 0:
-        inputs[unvisited] = 0.0
-        return EmbeddingTable(inputs)
+    # each token's walk as the half-open range [first, end) of token positions
+    end = np.repeat(np.cumsum(lengths), lengths)
+    first = end - np.repeat(lengths, lengths)
+    offsets = np.concatenate([np.arange(-w, 0), np.arange(1, w + 1)])
     # A batch much larger than the vocabulary piles many accumulated updates
     # onto the same rows in one step and can diverge; cap it accordingly.
-    active = int((counts > 0).sum())
-    batch_size = min(config.batch_size, max(16, active))
-    total_batches = config.epochs * int(np.ceil(len(centers) / batch_size))
+    span = max(1, min(config.batch_size, max(16, np.count_nonzero(counts))) // (2 * w))
+    total_batches = config.epochs * -(-len(tokens) // span)
     batch_idx = 0
     for _ in range(config.epochs):
-        order = rng.permutation(len(centers))
-        for start in range(0, len(order), batch_size):
-            sel = order[start : start + batch_size]
+        order = rng.permutation(len(tokens))
+        for start in range(0, len(order), span):
+            at = order[start : start + span]
             lr = config.learning_rate * (1.0 - 0.9 * batch_idx / max(total_batches - 1, 1))
             batch_idx += 1
-            c = centers[sel]
-            o = ctxs[sel]
-            negs = draw_negatives(rng.random((len(sel), config.negatives)))
-
-            u = inputs[c]
-            v_pos = contexts[o]
-            v_neg = contexts[negs]
-            g_pos = expit((u * v_pos).sum(axis=1)) - 1.0
-            g_neg = expit(np.einsum("bd,bkd->bk", u, v_neg))
-
-            grad_u = g_pos[:, None] * v_pos + np.einsum("bk,bkd->bd", g_neg, v_neg)
-            add_rows(inputs, c, -lr * grad_u)
-            add_rows(contexts, o, -lr * (g_pos[:, None] * u))
-            add_rows(contexts, negs.ravel(), -lr * (g_neg[:, :, None] * u[:, None, :]))
-    inputs[unvisited] = 0.0
+            near = at[:, None] + offsets
+            mask = (near >= first[at, None]) & (near < end[at, None])
+            window = tokens[np.where(mask, near, at[:, None])]
+            negatives = draw_negatives(rng.random((len(at), config.negatives)))
+            outputs = np.column_stack([tokens[at], negatives])
+            _window_step(inputs, contexts, window, mask, outputs, lr)
+    inputs[counts == 0] = 0.0
     return EmbeddingTable(inputs)
 
 

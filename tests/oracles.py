@@ -181,6 +181,51 @@ def reference_walks(adjacency, config, nodes=None):
     return walks
 
 
+def walk_pairs(walks, window):
+    """(center, context) pairs of every walk under a fixed window, both ways.
+
+    One per ordered pair of positions at most ``window`` apart in the same
+    walk: the pair multiset one skip-gram epoch must train.
+    """
+    centers, contexts = [], []
+    for walk in walks:
+        arr = np.asarray(walk)
+        n = len(arr)
+        for offset in range(1, window + 1):
+            if n <= offset:
+                break
+            centers.append(arr[:-offset])
+            contexts.append(arr[offset:])
+            centers.append(arr[offset:])
+            contexts.append(arr[:-offset])
+    if not centers:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return np.concatenate(centers), np.concatenate(contexts)
+
+
+def reference_window_step(inputs, contexts, window, mask, outputs, lr):
+    """One window-batched SGNS step, one (position, slot, output) at a time.
+
+    Each unmasked input node ``window[t, j]`` meets each output
+    ``outputs[t, k]`` with label 1 for k = 0 and 0 otherwise; the logistic
+    is taken from its textbook form.  Every gradient reads the tables as they
+    were before the step.  Returns the updated (inputs, contexts) copies.
+    """
+    new_inputs, new_contexts = inputs.copy(), contexts.copy()
+    for t in range(window.shape[0]):
+        for j in range(window.shape[1]):
+            if not mask[t, j]:
+                continue
+            a = window[t, j]
+            for k in range(outputs.shape[1]):
+                b = outputs[t, k]
+                score = sum(inputs[a, i] * contexts[b, i] for i in range(inputs.shape[1]))
+                g = 1.0 / (1.0 + np.exp(-score)) - (1.0 if k == 0 else 0.0)
+                new_inputs[a] -= lr * g * contexts[b]
+                new_contexts[b] -= lr * g * inputs[a]
+    return new_inputs, new_contexts
+
+
 def dense_forward(model, x_masked):
     """The autoencoder stack evaluated at every position of dense inputs.
 

@@ -1,15 +1,20 @@
+import tracemalloc
+from collections import Counter
+from itertools import combinations
+
 import numpy as np
 import pytest
-from itertools import combinations
 from scipy import sparse
 from scipy.special import expit
 
-from oracles import central_difference, gradient_gap, reference_walks
+from oracles import central_difference, gradient_gap, reference_walks, reference_window_step, walk_pairs
+from trustrec import embed
 from trustrec.data import TrustGraph
 from trustrec.embed import (
     WalkConfig,
     _inverse_cdf,
     _noise_cdf,
+    _window_step,
     cosine_similarity,
     generate_walks,
     node_embeddings,
@@ -341,6 +346,81 @@ class TestNegativeSampler:
         u[0, 0] = 0.0
         u[1, :] = cdf[:5]
         self.assert_matches_searchsorted(cdf, u)
+
+
+def record_steps(monkeypatch):
+    """Copies of every ``_window_step`` call's arguments, in call order."""
+    calls = []
+
+    def recording(inputs, contexts, window, mask, outputs, lr):
+        calls.append((window.copy(), mask.copy(), outputs.copy(), lr))
+        _window_step(inputs, contexts, window, mask, outputs, lr)
+
+    monkeypatch.setattr(embed, "_window_step", recording)
+    return calls
+
+
+class TestWindowBatches:
+    """The window-batched skip-gram against per-pair references."""
+
+    WALKS = [[0, 1, 1, 2, 0, 3], [4, 2], [5], [3, 3, 0, 1, 4, 2, 2, 5, 0], [1, 0, 6]]
+
+    def test_step_matches_scalar_reference(self):
+        rng = np.random.default_rng(4)
+        inputs = rng.normal(0.0, 0.5, size=(7, 3))
+        contexts = rng.normal(0.0, 0.5, size=(7, 3))
+        # row 0 repeats node 2 inside its window and draws its centre 0 as a
+        # negative; row 1 draws the same negative twice; masked slots hold
+        # the centre itself
+        window = np.array([[2, 2, 3, 0], [4, 4, 6, 5], [1, 2, 2, 2]])
+        mask = np.array([[True, True, True, False], [False, True, True, True], [True, False, False, True]])
+        outputs = np.array([[0, 0, 5, 2], [4, 1, 1, 3], [2, 6, 2, 0]])
+        want = reference_window_step(inputs, contexts, window, mask, outputs, 0.3)
+        _window_step(inputs, contexts, window, mask, outputs, 0.3)
+        np.testing.assert_allclose(inputs, want[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(contexts, want[1], rtol=0, atol=1e-12)
+
+    def test_training_replays_reference_steps(self, monkeypatch):
+        # the whole run equals the scalar reference fed the same batches,
+        # negatives and learning rates, from the same starting tables
+        config = WalkConfig(dimensions=3, window=2, negatives=3, epochs=2, batch_size=20, seed=8)
+        calls = record_steps(monkeypatch)
+        table = train_embeddings(self.WALKS, 8, config)
+        assert len(calls) > 4
+        inputs = np.random.default_rng(config.seed).uniform(-0.5 / 3, 0.5 / 3, size=(8, 3))
+        contexts = np.zeros((8, 3))
+        for window, mask, outputs, lr in calls:
+            inputs, contexts = reference_window_step(inputs, contexts, window, mask, outputs, lr)
+        inputs[7] = 0.0  # node 7 is in no walk
+        np.testing.assert_allclose(table.vectors, inputs, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("window", [1, 2, 4])
+    def test_epoch_trains_the_walk_pair_multiset(self, monkeypatch, window):
+        config = WalkConfig(dimensions=2, window=window, negatives=2, epochs=1, batch_size=16, seed=1)
+        calls = record_steps(monkeypatch)
+        train_embeddings(self.WALKS, 8, config)
+        got = Counter()
+        for nodes, mask, outputs, _ in calls:
+            centres = np.broadcast_to(outputs[:, :1], nodes.shape)
+            got.update(zip(nodes[mask].tolist(), centres[mask].tolist()))
+        want = Counter(zip(*(side.tolist() for side in walk_pairs(self.WALKS, window))))
+        assert got == want
+        positions = sum(len(walk) for walk in self.WALKS)
+        assert sum(len(outputs) for _, _, outputs, _ in calls) == positions
+        assert {outputs.shape[1] for _, _, outputs, _ in calls} == {1 + config.negatives}
+        assert max(len(outputs) for _, _, outputs, _ in calls) == max(1, 16 // (2 * window))
+
+    def test_memory_stays_below_eight_bytes_per_pair(self):
+        walks = np.random.default_rng(0).integers(0, 500, size=(2000, 40)).tolist()
+        config = WalkConfig(dimensions=10, window=5, epochs=1, seed=0)
+        pairs = len(walk_pairs(walks[:1], config.window)[0]) * len(walks)
+        tracemalloc.start()
+        try:
+            train_embeddings(walks, 500, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * pairs
 
 
 class TestNodeEmbeddings:
