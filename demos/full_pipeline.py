@@ -39,8 +39,7 @@ def main():
     hp = HyperParams(k=8, learning_rate=0.02, lam_p=0.1, lam_q=0.1, lam_w=0.1,
                      lam_t=0.1, lam_c=0.1, epochs=40, seed=7)
     ctx = TrainingContext(train=train_ratings, trust=propagated,
-                          embeddings=embeddings, communities=communities,
-                          leaders=leaders)
+                          embeddings=embeddings, leaders=leaders)
     reports = run_ablations(ctx, hp, test_ratings, ae_init=ae_init)
     reports.append(constant_baseline(global_mean(train_ratings), test_ratings, model_tag="mean"))
 

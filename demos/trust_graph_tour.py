@@ -30,8 +30,9 @@ reachable = len(list(propagated.pairs()))
 print(f"{direct} direct edges propagate to {reachable} trusting pairs within 3 hops")
 
 # one concrete chain: strongest indirect value that has no direct edge
+direct_pairs = {(u, v) for u, v, _ in graph.edges()}
 best = max(
-    ((u, v, t) for u, v, t in propagated.pairs() if v not in graph.out_edges.get(u, {})),
+    ((u, v, t) for u, v, t in propagated.pairs() if (u, v) not in direct_pairs),
     key=lambda uvt: uvt[2],
 )
 print(f"strongest purely indirect trust: {best[0]} -> {best[1]} at {best[2]:.3f}")

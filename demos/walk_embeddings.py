@@ -11,11 +11,8 @@ import numpy as np
 from trustrec.data import TrustGraph
 from trustrec.embed import WalkConfig, cosine_similarity, node_embeddings, step_distribution, symmetrized_adjacency
 
-graph = TrustGraph(10)
-for a, b in combinations(range(5), 2):
-    graph.add_edge(a, b, 1.0)
-    graph.add_edge(a + 5, b + 5, 1.0)
-graph.add_edge(4, 5, 1.0)  # the bridge
+cliques = [(a + side, b + side, 1.0) for a, b in combinations(range(5), 2) for side in (0, 5)]
+graph = TrustGraph.from_edges(10, cliques + [(4, 5, 1.0)])  # (4, 5) is the bridge
 
 adjacency = symmetrized_adjacency(graph)
 

@@ -40,7 +40,6 @@ from .data import (
 )
 from .embed import EmbeddingTable, WalkConfig, node_embeddings
 from .graph import (
-    CommunityAssignment,
     LeaderTable,
     PropagatedTrust,
     community_leaders,
@@ -315,7 +314,7 @@ def cmd_prepare(config, values):
         # the same data in internal indices, so later commands parse no text
         arrays = {name: np.column_stack([s.users, s.items, s.values])
                   for name, s in (("train", train_split), ("test", test_split))}
-        arrays["trust"] = np.array(list(trust.edges()), dtype=np.float64).reshape(-1, 3)
+        arrays["trust"] = np.column_stack([trust.rows(), trust.indices, trust.data])
         meta = {"num_users": ratings.num_users, "num_items": ratings.num_items}
         save_checkpoint(os.path.join(out, "split.ckpt"), "split", arrays, meta)
 
@@ -331,8 +330,8 @@ def _load_prepared(config, trust=True):
     """Train split, test split and trust graph (None unless asked for) from ``split.ckpt``.
 
     Each equals a reparse of the prepared text files through the saved id
-    maps: the graph is rebuilt in its saved edge order, so every later stage
-    sees the same neighbor order.
+    maps: the trust columns are the graph's CSR rows in order, so every later
+    stage sees the same neighbor order.
     """
     path = _current_stage(config.work_dir, "prepare", "split.ckpt")
     _, arrays, meta = load_checkpoint(path, expect_kind="split")
@@ -342,7 +341,7 @@ def _load_prepared(config, trust=True):
         users, items, values = np.ascontiguousarray(arrays[name].T)
         return RatingMatrix(num_users, num_items, users, items, values, *config.scale)
 
-    graph = TrustGraph.from_edges(num_users, arrays["trust"].tolist()) if trust else None
+    graph = TrustGraph(num_users, *arrays["trust"].T) if trust else None
     return ratings("train"), ratings("test"), graph
 
 
@@ -366,11 +365,8 @@ def _load_context(config, train_split):
     truster, trustee, trust = arrays["pairs"].T
     ctx = TrainingContext(
         train_split,
-        trust=PropagatedTrust(
-            truster, trustee, trust, meta["num_users"], config.graph.decay, config.graph.max_depth
-        ),
+        trust=PropagatedTrust(truster, trustee, trust, meta["num_users"]),
         embeddings=_load_embeddings(work),
-        communities=CommunityAssignment(labels, meta["num_communities"], float(arrays["modularity"][0])),
         leaders=LeaderTable(arrays["leaders"].astype(np.int64), labels, "stored"),
     )
     return ctx, (codes["init_P"], codes["init_Q"])

@@ -6,6 +6,9 @@ whitespace-separated.  Lines starting with ``#`` are comments.
     ratings file:  user_id, item_id, rating
     trust file:    truster_id, trustee_id[, value]     (value defaults to 1.0)
     id-map file:   external_id, internal_index
+
+In memory a RatingMatrix holds (user, item, value) columns sorted by (user,
+item), and a TrustGraph holds its edges as CSR rows, one per truster.
 """
 
 from dataclasses import dataclass, replace
@@ -138,62 +141,71 @@ class SplitSpec:
 
 
 class TrustGraph:
-    """Directed user-to-user trust edges with values in (0, 1].
+    """Directed user-to-user trust edges with values in (0, 1], as CSR arrays.
 
-    Neighbor dicts preserve insertion order, so a graph rebuilt from the same
-    edge sequence is structurally identical.  ``self_loops_skipped`` counts
-    input lines dropped because truster == trustee.
+    Row u of ``indptr``/``indices``/``data`` holds user u's trustees in the
+    order their edges first appeared, each with the value it was given last.
+    ``self_loops_skipped`` counts input lines dropped because truster == trustee.
     """
 
-    def __init__(self, num_users, self_loops_skipped=0):
+    def __init__(self, num_users, truster=(), trustee=(), values=(), self_loops_skipped=0):
+        truster = np.asarray(truster, dtype=np.int64)
+        trustee = np.asarray(trustee, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        _check_edges(num_users, truster, trustee, values)
         self.num_users = num_users
-        self.out_edges = {}
         self.self_loops_skipped = self_loops_skipped
-        self._num_edges = 0
-
-    def add_edge(self, truster, trustee, value=1.0):
-        if truster == trustee:
-            raise ValueError("self-loops are not allowed")
-        if not 0.0 < value <= 1.0:
-            raise ValueError(f"trust value {value} outside (0, 1]")
-        if truster >= self.num_users or trustee >= self.num_users or truster < 0 or trustee < 0:
-            raise ValueError("endpoint index out of range")
-        nbrs = self.out_edges.setdefault(truster, {})
-        if trustee not in nbrs:
-            self._num_edges += 1
-        nbrs[trustee] = value
+        self.indptr, self.indices, self.data = _csr_rows(num_users, truster, trustee, values)
 
     @classmethod
     def from_edges(cls, num_users, edges, self_loops_skipped=0):
-        """Graph of the (truster, trustee, value) triples, added in order."""
-        graph = cls(num_users, self_loops_skipped)
-        for u, v, t in edges:
-            graph.add_edge(int(u), int(v), t)
-        return graph
+        """Graph of the (truster, trustee, value) triples, in the order given."""
+        columns = tuple(zip(*edges)) or ((), (), ())
+        return cls(num_users, *columns, self_loops_skipped=self_loops_skipped)
 
     @property
     def num_edges(self):
-        return self._num_edges
+        return len(self.indices)
 
-    def trust(self, truster, trustee):
-        """Stored direct trust value, or None when no edge exists."""
-        return self.out_edges.get(truster, {}).get(trustee)
-
-    def neighbors(self, user):
-        return self.out_edges.get(user, {})
+    def rows(self):
+        """Truster of every stored edge, aligned with ``indices`` and ``data``."""
+        return np.repeat(np.arange(self.num_users, dtype=np.int64), np.diff(self.indptr))
 
     def edges(self):
-        for u, nbrs in self.out_edges.items():
-            for v, t in nbrs.items():
-                yield u, v, t
+        return zip(self.rows().tolist(), self.indices.tolist(), self.data.tolist())
 
     def degrees(self):
         """Out-degree plus in-degree counts per user, shape (num_users,)."""
-        deg = np.zeros(self.num_users, dtype=np.int64)
-        for u, v, _ in self.edges():
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.diff(self.indptr) + np.bincount(self.indices, minlength=self.num_users)
+
+
+def _check_edges(num_users, truster, trustee, values):
+    """Raise for the first invalid edge: self-loop, value outside (0, 1], or bad endpoint."""
+    if not len(truster) == len(trustee) == len(values):
+        raise ValueError("edge arrays must have equal length")
+    loop = truster == trustee
+    bad_value = ~((values > 0.0) & (values <= 1.0))
+    bad_end = (np.minimum(truster, trustee) < 0) | (np.maximum(truster, trustee) >= num_users)
+    bad = np.flatnonzero(loop | bad_value | bad_end)
+    if len(bad):
+        j = bad[0]
+        if loop[j]:
+            raise ValueError("self-loops are not allowed")
+        if bad_value[j]:
+            raise ValueError(f"trust value {float(values[j])} outside (0, 1]")
+        raise ValueError("endpoint index out of range")
+
+
+def _csr_rows(num_users, truster, trustee, values):
+    """Distinct edges as CSR rows by truster, in first-appearance order, with last values."""
+    keys = truster * num_users + trustee
+    _, first = np.unique(keys, return_index=True)
+    _, from_end = np.unique(keys[::-1], return_index=True)
+    last = len(keys) - 1 - from_end
+    order = np.lexsort((first, truster[first]))
+    first, last = first[order], last[order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(truster[first], minlength=num_users))])
+    return indptr, trustee[first], values[last]
 
 
 def _records(path):
@@ -341,8 +353,7 @@ def subsample_top_trust_users(ratings, graph, count):
         items=ratings.items[mask],
         values=ratings.values[mask],
     )
-    sub_graph = TrustGraph(count)
-    for u, v, t in graph.edges():
-        if new_index[u] >= 0 and new_index[v] >= 0:
-            sub_graph.add_edge(int(new_index[u]), int(new_index[v]), t)
+    truster, trustee = new_index[graph.rows()], new_index[graph.indices]
+    inside = (truster >= 0) & (trustee >= 0)
+    sub_graph = TrustGraph(count, truster[inside], trustee[inside], graph.data[inside])
     return sub_ratings, sub_graph, kept

@@ -17,7 +17,6 @@ window against its own node and one shared negative set.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -157,7 +156,7 @@ def generate_walks(graph_or_adjacency, config, nodes=None):
     in that stream.  So the walks are, bit for bit, those of a per-node,
     per-step loop over ``step_distribution``, and do not depend on the order
     of ``nodes``.  The result lists each start node's ``num_walks`` walks
-    together, in ``nodes`` order.
+    together, in ``nodes`` order, as int64 views into the rounds' arrays.
     """
     from scipy import sparse
     if sparse.issparse(graph_or_adjacency):
@@ -181,11 +180,7 @@ def generate_walks(graph_or_adjacency, config, nodes=None):
         _lockstep_round(csr, edge_keys, starts, uniforms, cursor, config.walk_length, config.p, config.q)
         for _ in range(config.num_walks)
     ]
-    walks = []
-    for row in range(len(starts)):
-        for round_walks, lengths in rounds:
-            walks.append(round_walks[row, : lengths[row]].tolist())
-    return walks
+    return [walks[row, : lengths[row]] for row in range(len(starts)) for walks, lengths in rounds]
 
 
 def _inverse_cdf(cdf):
@@ -264,7 +259,7 @@ def train_embeddings(walks, num_nodes, config):
     contexts = np.zeros((num_nodes, d))
 
     lengths = np.array([len(walk) for walk in walks], dtype=np.int64)
-    tokens = np.fromiter(chain.from_iterable(walks), dtype=np.int64, count=int(lengths.sum()))
+    tokens = np.concatenate([np.zeros(0, dtype=np.int64), *walks])  # the empty head admits an empty walk list
     counts = np.bincount(tokens, minlength=num_nodes).astype(np.float64)
     if len(tokens) == 0:
         return EmbeddingTable(np.zeros((num_nodes, d)))

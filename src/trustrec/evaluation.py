@@ -102,9 +102,9 @@ def run_ablations(ctx, hp, test, ae_init=None, full_params=None):
     ae_init = ae_init or random_init
 
     variants = (
-        (ABLATION_TAGS[0], random_init, replace(ctx, trust=None, embeddings=None, communities=None, leaders=None)),
-        (ABLATION_TAGS[1], ae_init, replace(ctx, trust=None, embeddings=None, communities=None, leaders=None)),
-        (ABLATION_TAGS[2], ae_init, replace(ctx, embeddings=None, communities=None, leaders=None)),
+        (ABLATION_TAGS[0], random_init, replace(ctx, trust=None, embeddings=None, leaders=None)),
+        (ABLATION_TAGS[1], ae_init, replace(ctx, trust=None, embeddings=None, leaders=None)),
+        (ABLATION_TAGS[2], ae_init, replace(ctx, embeddings=None, leaders=None)),
         (ABLATION_TAGS[3], ae_init, replace(ctx, embeddings=None)),
         (ABLATION_TAGS[4], ae_init, ctx),
     )

@@ -17,13 +17,8 @@ _GAIN_EPS = 1e-12
 def directed_adjacency(graph):
     """CSR matrix of the directed trust edges, A[u, v] = t_uv."""
     from scipy import sparse
-    rows, cols, vals = [], [], []
-    for u, v, t in graph.edges():
-        rows.append(u)
-        cols.append(v)
-        vals.append(t)
     n = graph.num_users
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return sparse.csr_matrix((graph.data, (graph.rows(), graph.indices)), shape=(n, n))
 
 
 def symmetrized_adjacency(graph):
@@ -304,18 +299,11 @@ class PropagatedTrust:
     trustee: np.ndarray
     values: np.ndarray
     num_users: int
-    decay: float
-    max_depth: int
 
     def __post_init__(self):
         self.truster = np.asarray(self.truster, dtype=np.int64)
         self.trustee = np.asarray(self.trustee, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=np.float64)
-
-    def value(self, truster, trustee):
-        """Propagated trust, or 0.0 when trustee is out of reach (a linear scan)."""
-        hit = np.flatnonzero((self.truster == truster) & (self.trustee == trustee))
-        return float(self.values[hit[0]]) if len(hit) else 0.0
 
     def pairs(self):
         return zip(self.truster.tolist(), self.trustee.tolist(), self.values.tolist())
@@ -337,13 +325,15 @@ def propagate_trust(graph, decay=0.8, max_depth=3):
         raise ValueError("decay must lie in (0, 1]")
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
+    indptr = graph.indptr.tolist()
+    edges = list(zip(graph.indices.tolist(), graph.data.tolist()))
+    adjacent = [edges[lo:hi] for lo, hi in zip(indptr, indptr[1:])]  # (trustee, value) per row
     truster, trustee, values = [], [], []
     for source in range(graph.num_users):
-        nbrs = graph.neighbors(source)
-        if not nbrs:
+        if not adjacent[source]:
             continue
         # best path product per node at the current BFS level
-        frontier = dict(nbrs)
+        frontier = dict(adjacent[source])
         reached = {source}
         row = {}
         for depth in range(1, max_depth + 1):
@@ -355,7 +345,7 @@ def propagate_trust(graph, decay=0.8, max_depth=3):
                 break
             nxt = {}
             for v, product in frontier.items():
-                for w, t in graph.neighbors(v).items():
+                for w, t in adjacent[v]:
                     if w in reached:
                         continue
                     candidate = product * t
@@ -367,4 +357,4 @@ def propagate_trust(graph, decay=0.8, max_depth=3):
         truster.extend([source] * len(row))
         trustee.extend(row)
         values.extend(row.values())
-    return PropagatedTrust(truster, trustee, values, graph.num_users, decay, max_depth)
+    return PropagatedTrust(truster, trustee, values, graph.num_users)

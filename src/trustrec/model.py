@@ -83,15 +83,14 @@ class HyperParams:
 class TrainingContext:
     """Everything training needs besides the parameters themselves.
 
-    ``trust``, ``embeddings``, ``communities``, and ``leaders`` may each be
-    None, which disables the corresponding objective term; this is how the
-    ablation variants are expressed.
+    ``trust``, ``embeddings`` and ``leaders`` may each be None, which disables
+    the corresponding objective term; this is how the ablation variants are
+    expressed.
     """
 
     train: "RatingMatrix"
     trust: "PropagatedTrust" = None
     embeddings: "EmbeddingTable" = None
-    communities: "CommunityAssignment" = None
     leaders: "LeaderTable" = None
 
     def validate(self):
@@ -100,8 +99,6 @@ class TrainingContext:
             raise ValueError("trust and ratings disagree on the user count")
         if self.embeddings is not None and self.embeddings.num_nodes != m:
             raise ValueError("embeddings and ratings disagree on the user count")
-        if self.communities is not None and len(self.communities.labels) != m:
-            raise ValueError("communities and ratings disagree on the user count")
         if self.leaders is not None and len(self.leaders.labels) != m:
             raise ValueError("leaders and ratings disagree on the user count")
         return self

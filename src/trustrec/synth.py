@@ -107,7 +107,7 @@ def social_bundle(
         np.array([entries[(u, i)] for u, i in keys]),
     ).validate()
 
-    graph = TrustGraph(num_users)
+    edges = []
     lo_t, hi_t = trust_per_user
     for u in range(num_users):
         c = labels[u]
@@ -122,8 +122,8 @@ def social_bundle(
                 v = int(rng.choice(members))
             if v == u:
                 continue
-            graph.add_edge(u, v, float(rng.uniform(0.6, 1.0)))
-    return SocialBundle(ratings, graph, labels, hubs)
+            edges.append((u, v, float(rng.uniform(0.6, 1.0))))
+    return SocialBundle(ratings, TrustGraph.from_edges(num_users, edges), labels, hubs)
 
 
 def write_bundle(bundle, ratings_path, trust_path):

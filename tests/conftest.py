@@ -31,10 +31,8 @@ def make_ratings():
 @pytest.fixture
 def triangle_pair():
     """Two disjoint triangles on nodes 0-2 and 3-5."""
-    g = TrustGraph(6)
-    for a, b in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]:
-        g.add_edge(a, b, 1.0)
-    return g
+    edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+    return TrustGraph.from_edges(6, [(a, b, 1.0) for a, b in edges])
 
 
 @pytest.fixture
@@ -64,7 +62,7 @@ def make_context():
                     truster.append(u)
                     trustee.append(v)
                     trust_values.append(float(rng.uniform(0.2, 1.0)))
-            trust = PropagatedTrust(truster, trustee, trust_values, m, decay=0.8, max_depth=3)
+            trust = PropagatedTrust(truster, trustee, trust_values, m)
 
         leaders = None
         if with_leaders:
@@ -107,7 +105,6 @@ def social_context():
         train=train,
         trust=trust,
         embeddings=embeddings,
-        communities=communities,
         leaders=leaders,
     )
     return ctx, test, bundle

@@ -140,6 +140,58 @@ def exhaustive_propagation(out_edges, num_users, decay, max_depth):
     return results
 
 
+class DictTrustGraph:
+    """The dict-of-dicts trust graph that TrustGraph's CSR arrays replaced.
+
+    Kept verbatim as the reference for their semantics: one dict per
+    truster in order of first appearance, trustees in order of first
+    appearance, each with the value it was given last.
+    """
+
+    def __init__(self, num_users, self_loops_skipped=0):
+        self.num_users = num_users
+        self.out_edges = {}
+        self.self_loops_skipped = self_loops_skipped
+        self._num_edges = 0
+
+    def add_edge(self, truster, trustee, value=1.0):
+        if truster == trustee:
+            raise ValueError("self-loops are not allowed")
+        if not 0.0 < value <= 1.0:
+            raise ValueError(f"trust value {value} outside (0, 1]")
+        if truster >= self.num_users or trustee >= self.num_users or truster < 0 or trustee < 0:
+            raise ValueError("endpoint index out of range")
+        nbrs = self.out_edges.setdefault(truster, {})
+        if trustee not in nbrs:
+            self._num_edges += 1
+        nbrs[trustee] = value
+
+    @classmethod
+    def from_edges(cls, num_users, edges, self_loops_skipped=0):
+        """Graph of the (truster, trustee, value) triples, added in order."""
+        graph = cls(num_users, self_loops_skipped)
+        for u, v, t in edges:
+            graph.add_edge(int(u), int(v), t)
+        return graph
+
+    @property
+    def num_edges(self):
+        return self._num_edges
+
+    def edges(self):
+        for u, nbrs in self.out_edges.items():
+            for v, t in nbrs.items():
+                yield u, v, t
+
+    def degrees(self):
+        """Out-degree plus in-degree counts per user, shape (num_users,)."""
+        deg = np.zeros(self.num_users, dtype=np.int64)
+        for u, v, _ in self.edges():
+            deg[u] += 1
+            deg[v] += 1
+        return deg
+
+
 def plain_mf_objective(P, Q, users, items, values, lam_p, lam_q):
     """Squared-error matrix-factorization loss written straight from its formula."""
     total = 0.0

@@ -162,9 +162,7 @@ def test_criterion_3_graph_oracles():
             adj = _undirected_csr(edges, n)
             if connected_components(adj, directed=False)[0] != 1:
                 continue
-            graph = TrustGraph(n)
-            for a, b, w in edges:
-                graph.add_edge(a, b, w)
+            graph = TrustGraph.from_edges(n, edges)
             result = louvain(graph, seed=0)
             best = best_partition_value(n, lambda lab: modularity(adj, lab))
             checked += 1
@@ -189,9 +187,7 @@ def test_criterion_3_graph_oracles():
                 continue
             made += 1
             checked += 1
-            graph = TrustGraph(n)
-            for a, b, w in zip(rows, cols, weights):
-                graph.add_edge(int(a), int(b), float(w))
+            graph = TrustGraph(n, rows, cols, weights)
             result = louvain(graph, seed=0)
             best = best_partition_value(n, lambda lab: modularity(adj, lab))
             if result.modularity >= best - 1e-9:
@@ -200,9 +196,9 @@ def test_criterion_3_graph_oracles():
                 certified += 1
     louvain_ok = optimal + certified == checked
 
-    triangles = TrustGraph(6)
-    for a, b in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]:
-        triangles.add_edge(a, b, 1.0)
+    triangles = TrustGraph.from_edges(
+        6, [(a, b, 1.0) for a, b in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]]
+    )
     triangle_ok = louvain(triangles, seed=0).modularity == 0.5
 
     # (b) PageRank vs dense power iteration
@@ -222,14 +218,13 @@ def test_criterion_3_graph_oracles():
     gen = np.random.default_rng(1)
     for trial in range(100):
         n = int(gen.integers(3, 11))
-        graph = TrustGraph(n)
         out_edges = {}
         for u in range(n):
             for v in range(n):
                 if u != v and gen.random() < 0.3:
                     value = float(gen.uniform(0.1, 1.0))
-                    graph.add_edge(u, v, value)
                     out_edges.setdefault(u, {})[v] = value
+        graph = TrustGraph.from_edges(n, [(u, v, t) for u in out_edges for v, t in out_edges[u].items()])
         decay, depth = 0.8, 3
         got = propagate_trust(graph, decay, depth)
         want = exhaustive_propagation(out_edges, n, decay, depth)
@@ -292,9 +287,7 @@ def test_criterion_4_walk_statistics_and_barbell():
         barbell.append((a, b, 1.0))
         barbell.append((a + 5, b + 5, 1.0))
     barbell.append((4, 5, 1.0))
-    graph = TrustGraph(10)
-    for a, b, w in barbell:
-        graph.add_edge(a, b, w)
+    graph = TrustGraph.from_edges(10, barbell)
     hits = 0
     for seed in range(10):
         config = WalkConfig(
@@ -408,8 +401,7 @@ def test_criterion_7_ablation_ordering():
         epochs=30, seed=42,
     )
     ctx = TrainingContext(
-        train=train_split, trust=propagated, embeddings=embeddings,
-        communities=communities, leaders=leaders,
+        train=train_split, trust=propagated, embeddings=embeddings, leaders=leaders,
     )
     reports = run_ablations(ctx, hp, test_split, ae_init=(init_P, init_Q))
     plain, full = reports[0].rmse, reports[-1].rmse

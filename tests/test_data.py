@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from trustrec.data import (
     split,
     subsample_top_trust_users,
 )
+
+from oracles import DictTrustGraph
 
 
 class TestLoadRatings:
@@ -117,30 +121,134 @@ class TestRatingsRoundTrip:
         assert len(back) == len(ratings)
 
 
+def edge_map(graph):
+    """{(truster, trustee): value} of a graph's stored edges."""
+    return {(u, v): t for u, v, t in graph.edges()}
+
+
 class TestTrustGraph:
     def test_add_and_query(self):
-        g = TrustGraph(4)
-        g.add_edge(0, 1, 0.5)
-        g.add_edge(1, 0, 1.0)
+        g = TrustGraph.from_edges(4, [(1, 0, 1.0), (0, 1, 0.5)])
         assert g.num_edges == 2
-        assert g.trust(0, 1) == 0.5
-        assert g.trust(1, 2) is None
-        assert dict(g.neighbors(0)) == {1: 0.5}
+        assert list(g.edges()) == [(0, 1, 0.5), (1, 0, 1.0)]
+        assert g.indptr.tolist() == [0, 1, 2, 2, 2]
+        assert g.indices.tolist() == [1, 0]
+        assert g.data.tolist() == [0.5, 1.0]
+
+    def test_columns_build_the_same_graph_as_triples(self):
+        edges = [(2, 0, 0.3), (0, 1, 0.5), (2, 1, 1.0), (0, 1, 0.9)]
+        g = TrustGraph(3, *zip(*edges), self_loops_skipped=4)
+        assert list(g.edges()) == list(TrustGraph.from_edges(3, edges).edges())
+        assert g.self_loops_skipped == 4
 
     def test_rejects_self_loop_and_bad_values(self):
-        g = TrustGraph(3)
         with pytest.raises(ValueError):
-            g.add_edge(1, 1, 1.0)
+            TrustGraph.from_edges(3, [(1, 1, 1.0)])
         with pytest.raises(ValueError):
-            g.add_edge(0, 1, 0.0)
+            TrustGraph.from_edges(3, [(0, 1, 0.0)])
         with pytest.raises(ValueError):
-            g.add_edge(0, 1, 1.5)
+            TrustGraph.from_edges(3, [(0, 1, 1.5)])
+
+    def test_rejects_columns_of_unequal_length(self):
+        with pytest.raises(ValueError):
+            TrustGraph(3, [0, 1], [1], [1.0, 1.0])
 
     def test_degrees_count_both_directions(self):
-        g = TrustGraph(3)
-        g.add_edge(0, 1, 1.0)
-        g.add_edge(2, 1, 1.0)
+        g = TrustGraph.from_edges(3, [(0, 1, 1.0), (2, 1, 1.0)])
         np.testing.assert_array_equal(g.degrees(), [1, 2, 1])
+
+
+class TestTrustGraphOracle:
+    """TrustGraph against the dict-of-dicts graph it replaced, on random edge sequences."""
+
+    @staticmethod
+    def random_edges(rng, n, count, invalid=0.0):
+        """Edges with repeats, changed values and interleaved trusters; a share ``invalid`` is bad."""
+        edges = []
+        for _ in range(count):
+            u, v = (int(x) for x in rng.integers(0, n, size=2))
+            if u == v and rng.random() >= invalid:
+                continue
+            if edges and rng.random() < 0.3:
+                u, v, _ = edges[int(rng.integers(len(edges)))]
+            t = float(rng.choice([0.25, 0.5, 1.0])) if rng.random() < 0.5 else float(rng.uniform(0.01, 1.0))
+            if rng.random() < invalid:
+                kind = rng.integers(3)
+                if kind == 0:
+                    t = float(rng.choice([0.0, -0.5, 1.5, np.nan]))
+                elif kind == 1:
+                    u = int(rng.choice([-1, n]))
+                else:
+                    v = u
+            edges.append((u, v, t))
+        return edges
+
+    @staticmethod
+    def outcome(build):
+        try:
+            return build()
+        except ValueError as exc:
+            return str(exc)
+
+    def test_edges_match_the_oracle_sorted_by_truster(self):
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            n = int(rng.integers(1, 9))
+            edges = self.random_edges(rng, n, int(rng.integers(0, 40)))
+            want = DictTrustGraph.from_edges(n, edges, self_loops_skipped=3)
+            got = TrustGraph.from_edges(n, edges, self_loops_skipped=3)
+            assert list(got.edges()) == sorted(want.edges(), key=lambda e: e[0])
+            assert got.num_edges == want.num_edges
+            assert got.self_loops_skipped == want.self_loops_skipped == 3
+            np.testing.assert_array_equal(got.degrees(), want.degrees())
+
+    def test_grouped_input_matches_the_oracle_unsorted(self):
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            edges = sorted(self.random_edges(rng, n, int(rng.integers(1, 40))), key=lambda e: e[0])
+            want = DictTrustGraph.from_edges(n, edges)
+            assert list(TrustGraph.from_edges(n, edges).edges()) == list(want.edges())
+
+    def test_errors_match_the_oracle(self):
+        rng = np.random.default_rng(2)
+        raised = 0
+        for _ in range(500):
+            n = int(rng.integers(1, 7))
+            edges = self.random_edges(rng, n, int(rng.integers(1, 12)), invalid=0.15)
+            want = self.outcome(lambda: DictTrustGraph.from_edges(n, edges))
+            got = self.outcome(lambda: TrustGraph.from_edges(n, edges))
+            if isinstance(want, str):
+                raised += 1
+                assert got == want
+            else:
+                assert list(got.edges()) == sorted(want.edges(), key=lambda e: e[0])
+        assert raised > 100
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            ((1, 1, 1.0), "self-loops are not allowed"),
+            ((0, 1, 1.5), "trust value 1.5 outside (0, 1]"),
+            ((0, 3, 1.0), "endpoint index out of range"),
+        ],
+    )
+    def test_each_error_names_its_case(self, edge, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DictTrustGraph.from_edges(3, [edge])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrustGraph.from_edges(3, [edge])
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_empty_graph(self, n):
+        for g in (TrustGraph(n), TrustGraph.from_edges(n, [])):
+            assert g.num_edges == 0 and list(g.edges()) == []
+            assert g.indptr.tolist() == [0] * (n + 1)
+            np.testing.assert_array_equal(g.degrees(), np.zeros(n, dtype=np.int64))
+
+    def test_single_user_admits_no_edge(self):
+        assert self.outcome(lambda: TrustGraph.from_edges(1, [(0, 0, 1.0)])) == "self-loops are not allowed"
+        assert self.outcome(lambda: TrustGraph.from_edges(1, [(0, 1, 1.0)])) == "endpoint index out of range"
 
 
 class TestLoadTrust:
@@ -149,8 +257,8 @@ class TestLoadTrust:
         path.write_text("1,2\n2,3,0.25\n")
         user_map = IdMap()
         graph = load_trust(path, user_map)
-        assert graph.trust(user_map.index_of(1), user_map.index_of(2)) == 1.0
-        assert graph.trust(user_map.index_of(2), user_map.index_of(3)) == 0.25
+        ids = {(user_map.id_of(u), user_map.id_of(v)): t for (u, v), t in edge_map(graph).items()}
+        assert ids == {(1, 2): 1.0, (2, 3): 0.25}
 
     def test_self_loop_line_skipped_with_count(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -179,18 +287,14 @@ class TestLoadTrust:
         assert info.value.line_no == 2
 
     def test_round_trip(self, tmp_path):
-        g = TrustGraph(3)
-        g.add_edge(0, 2, 0.75)
-        g.add_edge(2, 1, 1.0)
+        g = TrustGraph.from_edges(3, [(0, 2, 0.75), (2, 1, 1.0)])
         user_map = IdMap()
         for ext in (10, 11, 12):
             user_map.add(ext)
         path = tmp_path / "t.txt"
         save_trust(g, path, user_map)
         back = load_trust(path, user_map)
-        assert back.trust(0, 2) == 0.75
-        assert back.trust(2, 1) == 1.0
-        assert back.num_edges == 2
+        assert edge_map(back) == {(0, 2): 0.75, (2, 1): 1.0}
 
 
 class TestSplit:
@@ -263,10 +367,7 @@ class TestValidate:
 class TestSubsample:
     def test_keeps_highest_degree_users(self, make_ratings):
         # degrees: user0=1, user1=3, user2=2, user3=0
-        g = TrustGraph(4)
-        g.add_edge(0, 1, 1.0)
-        g.add_edge(1, 2, 1.0)
-        g.add_edge(2, 1, 1.0)
+        g = TrustGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
         triples = [(u, u % 2, float(u + 1)) for u in range(4)]
         ratings = make_ratings(triples, 4, 2)
         sub_ratings, sub_graph, kept = subsample_top_trust_users(ratings, g, 2)
@@ -274,13 +375,10 @@ class TestSubsample:
         assert sub_ratings.num_users == 2
         assert sub_graph.num_users == 2
         # user1 -> index 0, user2 -> index 1; their mutual edges survive
-        assert sub_graph.trust(0, 1) == 1.0
-        assert sub_graph.trust(1, 0) == 1.0
+        assert edge_map(sub_graph) == {(0, 1): 1.0, (1, 0): 1.0}
 
     def test_all_ratings_of_kept_users_survive(self, make_ratings):
-        g = TrustGraph(3)
-        g.add_edge(0, 2, 1.0)
-        g.add_edge(2, 0, 1.0)
+        g = TrustGraph.from_edges(3, [(0, 2, 1.0), (2, 0, 1.0)])
         triples = [(0, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0), (2, 1, 4.0)]
         ratings = make_ratings(triples, 3, 2)
         sub_ratings, _, kept = subsample_top_trust_users(ratings, g, 2)
@@ -289,10 +387,7 @@ class TestSubsample:
         assert sub_ratings.num_items == ratings.num_items
 
     def test_degree_ties_break_toward_smaller_index(self, make_ratings):
-        g = TrustGraph(3)
-        g.add_edge(0, 1, 1.0)
-        g.add_edge(1, 0, 1.0)
-        g.add_edge(2, 0, 1.0)
+        g = TrustGraph.from_edges(3, [(0, 1, 1.0), (1, 0, 1.0), (2, 0, 1.0)])
         # degrees: 0 -> 3, 1 -> 2, 2 -> 1
         ratings = make_ratings([(u, 0, 2.0) for u in range(3)], 3, 1)
         _, _, kept = subsample_top_trust_users(ratings, g, 1)

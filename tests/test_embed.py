@@ -24,23 +24,18 @@ from trustrec.embed import (
 from trustrec.graph import symmetrized_adjacency
 
 
+def mutual_graph(n, pairs):
+    """Graph with a unit-trust edge each way for every pair."""
+    return TrustGraph.from_edges(n, [e for a, b in pairs for e in ((a, b, 1.0), (b, a, 1.0))])
+
+
 def triangle_adjacency():
-    g = TrustGraph(3)
-    for a, b in [(0, 1), (1, 2), (2, 0)]:
-        g.add_edge(a, b, 1.0)
-        g.add_edge(b, a, 1.0)
-    return symmetrized_adjacency(g)
+    return symmetrized_adjacency(mutual_graph(3, [(0, 1), (1, 2), (2, 0)]))
 
 
 def barbell_graph():
-    g = TrustGraph(10)
-    for side in (range(5), range(5, 10)):
-        for a, b in combinations(side, 2):
-            g.add_edge(a, b, 1.0)
-            g.add_edge(b, a, 1.0)
-    g.add_edge(4, 5, 1.0)
-    g.add_edge(5, 4, 1.0)
-    return g
+    cliques = [pair for side in (range(5), range(5, 10)) for pair in combinations(side, 2)]
+    return mutual_graph(10, cliques + [(4, 5)])
 
 
 class TestStepDistribution:
@@ -61,28 +56,21 @@ class TestStepDistribution:
 
     def test_distance_two_gets_inverse_q(self):
         # path 0-1-2: from 1 after 0, node 2 is two hops from 0 -> bias 1/q
-        g = TrustGraph(3)
-        for a, b in [(0, 1), (1, 2)]:
-            g.add_edge(a, b, 1.0)
-            g.add_edge(b, a, 1.0)
-        adj = symmetrized_adjacency(g)
+        adj = symmetrized_adjacency(mutual_graph(3, [(0, 1), (1, 2)]))
         candidates, probs = step_distribution(adj, 0, 1, 1.0, 4.0)
         lookup = dict(zip(candidates.tolist(), probs.tolist()))
         assert lookup[0] == pytest.approx(0.8)  # 1 vs 1/4
         assert lookup[2] == pytest.approx(0.2)
 
     def test_sole_neighbor_certain(self):
-        g = TrustGraph(2)
-        g.add_edge(0, 1, 1.0)
+        g = TrustGraph.from_edges(2, [(0, 1, 1.0)])
         adj = symmetrized_adjacency(g)
         candidates, probs = step_distribution(adj, 0, 1, 2.0, 3.0)
         assert candidates.tolist() == [0]
         assert probs.tolist() == [1.0]
 
     def test_edge_weights_scale_probabilities(self):
-        g = TrustGraph(3)
-        g.add_edge(1, 0, 0.9)
-        g.add_edge(1, 2, 0.3)
+        g = TrustGraph.from_edges(3, [(1, 0, 0.9), (1, 2, 0.3)])
         adj = symmetrized_adjacency(g)
         candidates, probs = step_distribution(adj, None, 1, 1.0, 1.0)
         lookup = dict(zip(candidates.tolist(), probs.tolist()))
@@ -105,42 +93,51 @@ class TestStepDistribution:
                 assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def walks_as_lists(*args, **kwargs):
+    """generate_walks' int64 arrays as plain lists, for exact comparison."""
+    return [walk.tolist() for walk in generate_walks(*args, **kwargs)]
+
+
 class TestGenerateWalks:
+    def test_walks_are_int64_views_of_the_round_arrays(self):
+        config = WalkConfig(dimensions=2, num_walks=2, walk_length=5, seed=0)
+        walks = generate_walks(barbell_graph(), config)
+        assert len(walks) == 20
+        assert all(w.dtype == np.int64 and w.base is not None for w in walks)
+
     def test_two_node_graph_alternates(self):
-        g = TrustGraph(2)
-        g.add_edge(0, 1, 1.0)
+        g = TrustGraph.from_edges(2, [(0, 1, 1.0)])
         config = WalkConfig(dimensions=2, num_walks=1, walk_length=4, seed=0)
-        walks = generate_walks(g, config)
+        walks = walks_as_lists(g, config)
         assert walks == [[0, 1, 0, 1], [1, 0, 1, 0]]
 
     def test_isolated_node_gets_no_walks(self):
-        g = TrustGraph(3)
-        g.add_edge(0, 1, 1.0)
+        g = TrustGraph.from_edges(3, [(0, 1, 1.0)])
         config = WalkConfig(dimensions=2, num_walks=2, walk_length=3, seed=0)
-        walks = generate_walks(g, config)
+        walks = walks_as_lists(g, config)
         assert {w[0] for w in walks} == {0, 1}
         assert len(walks) == 4
 
     def test_deterministic_per_seed(self):
         g = barbell_graph()
         config = WalkConfig(dimensions=2, num_walks=3, walk_length=10, seed=9)
-        assert generate_walks(g, config) == generate_walks(g, config)
+        assert walks_as_lists(g, config) == walks_as_lists(g, config)
 
     def test_walk_count_and_length(self):
         g = barbell_graph()
         config = WalkConfig(dimensions=2, num_walks=4, walk_length=7, seed=1)
-        walks = generate_walks(g, config)
+        walks = walks_as_lists(g, config)
         assert len(walks) == 40
         assert all(len(w) == 7 for w in walks)
 
     def test_processing_order_does_not_matter(self):
         g = barbell_graph()
         config = WalkConfig(dimensions=2, num_walks=2, walk_length=8, seed=4)
-        full = generate_walks(g, config)
+        full = walks_as_lists(g, config)
         by_start = {}
         for w in full:
             by_start.setdefault(w[0], []).append(w)
-        shuffled = generate_walks(g, config, nodes=[7, 2, 9, 0])
+        shuffled = walks_as_lists(g, config, nodes=[7, 2, 9, 0])
         regrouped = {}
         for w in shuffled:
             regrouped.setdefault(w[0], []).append(w)
@@ -151,7 +148,7 @@ class TestGenerateWalks:
         g = barbell_graph()
         adj = symmetrized_adjacency(g).toarray()
         config = WalkConfig(dimensions=2, num_walks=2, walk_length=12, seed=2)
-        for w in generate_walks(g, config):
+        for w in walks_as_lists(g, config):
             for a, b in zip(w, w[1:]):
                 assert adj[a, b] > 0
 
@@ -182,12 +179,12 @@ class TestWalkOracle:
         adj = weighted_graph()
         assert np.diff(adj.indptr).max() > 8
         config = WalkConfig(dimensions=2, num_walks=3, walk_length=15, p=p, q=q, seed=7)
-        assert generate_walks(adj, config) == reference_walks(adj, config)
+        assert walks_as_lists(adj, config) == reference_walks(adj, config)
 
     def test_directed_dead_end(self):
         adj = dead_end_graph()
         config = WalkConfig(dimensions=2, num_walks=3, walk_length=8, p=0.5, q=2.0, seed=3)
-        walks = generate_walks(adj, config)
+        walks = walks_as_lists(adj, config)
         assert walks[:2] == [[0, 1, 2, 0, 3], [0, 1, 2, 0, 1, 2, 0, 1]]
         assert walks == reference_walks(adj, config)
 
@@ -195,19 +192,19 @@ class TestWalkOracle:
         adj = weighted_graph(seed=1)
         nodes = np.random.default_rng(2).permutation(40)[:15].tolist()
         config = WalkConfig(dimensions=2, num_walks=3, walk_length=10, p=0.5, q=2.0, seed=4)
-        assert generate_walks(adj, config, nodes=nodes) == reference_walks(adj, config, nodes=nodes)
+        assert walks_as_lists(adj, config, nodes=nodes) == reference_walks(adj, config, nodes=nodes)
 
     def test_walk_length_one(self):
         adj = weighted_graph(seed=2, isolated=(5,))
         config = WalkConfig(dimensions=2, num_walks=3, walk_length=1, seed=5)
-        walks = generate_walks(adj, config)
+        walks = walks_as_lists(adj, config)
         assert walks == reference_walks(adj, config)
         assert walks == [[node] for node in range(40) if node != 5 for _ in range(3)]
 
     def test_isolated_nodes(self):
         adj = weighted_graph(density=0.1, isolated=(0, 17, 39), seed=3)
         config = WalkConfig(dimensions=2, num_walks=4, walk_length=12, p=2.0, q=0.5, seed=6)
-        walks = generate_walks(adj, config)
+        walks = walks_as_lists(adj, config)
         assert walks == reference_walks(adj, config)
         assert not {0, 17, 39} & {w[0] for w in walks}
 
@@ -431,9 +428,7 @@ class TestNodeEmbeddings:
         np.testing.assert_array_equal(table.vectors, np.zeros((5, 4)))
 
     def test_trustless_user_gets_zero_vector(self):
-        g = TrustGraph(4)
-        g.add_edge(0, 1, 1.0)
-        g.add_edge(1, 2, 1.0)
+        g = TrustGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0)])
         config = WalkConfig(dimensions=4, num_walks=3, walk_length=8, epochs=1, seed=0)
         table = node_embeddings(g, config)
         assert np.linalg.norm(table.vector(3)) == 0.0
@@ -441,8 +436,7 @@ class TestNodeEmbeddings:
             assert np.linalg.norm(table.vector(u)) > 0
 
     def test_directed_edge_walked_both_ways(self):
-        g = TrustGraph(2)
-        g.add_edge(0, 1, 1.0)  # only one direction stored
+        g = TrustGraph.from_edges(2, [(0, 1, 1.0)])  # only one direction stored
         config = WalkConfig(dimensions=3, num_walks=2, walk_length=5, epochs=1, seed=0)
         table = node_embeddings(g, config)
         assert np.linalg.norm(table.vector(0)) > 0

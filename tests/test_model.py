@@ -78,7 +78,7 @@ class TestParams:
 
     def test_context_user_count_mismatches(self, make_ratings):
         ratings = make_ratings([(0, 0, 3.0), (1, 1, 4.0)], 2, 2)
-        bad_trust = PropagatedTrust([0, 2], [1, 0], [0.5, 0.2], 3, decay=0.8, max_depth=2)
+        bad_trust = PropagatedTrust([0, 2], [1, 0], [0.5, 0.2], 3)
         with pytest.raises(ValueError):
             TrainingContext(train=ratings, trust=bad_trust).validate()
         with pytest.raises(ValueError):
@@ -188,7 +188,7 @@ class TestObjective:
 
     def test_trust_term_vanishes_at_equal_factors(self, make_ratings):
         ratings = make_ratings([(0, 0, 3.0), (1, 1, 2.0), (2, 0, 4.0)], 3, 2)
-        trust = PropagatedTrust([0, 1, 2], [1, 2, 0], [0.9, 0.4, 0.7], 3, decay=0.8, max_depth=2)
+        trust = PropagatedTrust([0, 1, 2], [1, 2, 0], [0.9, 0.4, 0.7], 3)
         column = np.array([0.7, -0.2])
         params = ModelParams(
             np.tile(column[:, None], (1, 3)), np.random.default_rng(1).normal(size=(2, 2)),

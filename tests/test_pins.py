@@ -93,9 +93,7 @@ def library_digests():
     propagated = propagate_trust(graph, config.graph.decay, config.graph.max_depth)
     walks = generate_walks(graph, config.walks)
     table = train_embeddings(walks, graph.num_users, config.walks)
-    ctx = TrainingContext(
-        train_split, trust=propagated, embeddings=table, communities=communities, leaders=leaders
-    )
+    ctx = TrainingContext(train_split, trust=propagated, embeddings=table, leaders=leaders)
     params, history = train(ctx, config.model, init_p, init_q)
     return {
         "split": _digest(*(getattr(s, f) for s in (train_split, test_split) for f in ("users", "items", "values"))),
