@@ -336,7 +336,12 @@ def subsample_top_trust_users(ratings, graph, count):
     in original index order.  Items are left unchanged.
 
     Returns (ratings, graph, kept) where kept maps new indices to old.
+    The ratings and the graph must share one user index space.
     """
+    if graph.num_users != ratings.num_users:
+        raise ValueError(
+            f"trust graph has {graph.num_users} users but the ratings have {ratings.num_users}"
+        )
     if count <= 0 or count > ratings.num_users:
         raise ValueError("count must lie in [1, num_users]")
     degrees = graph.degrees()

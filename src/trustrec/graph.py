@@ -292,7 +292,8 @@ class PropagatedTrust:
     """Indirect trust within the propagation horizon, one entry per pair.
 
     ``truster[j]`` trusts ``trustee[j]`` with value ``values[j]``; pairs run
-    by ascending truster, then outward by hop count.
+    by ascending truster, then by hop count, then by discovery rank (see
+    ``propagate_trust``).
     """
 
     truster: np.ndarray
@@ -313,6 +314,11 @@ class PropagatedTrust:
         return len(self.values)
 
 
+# Candidate pairs one propagation join holds at most (about 0.5 MB per
+# int64 array); a source whose own candidates exceed it is joined alone.
+_JOIN_CANDIDATES = 1 << 16
+
+
 def propagate_trust(graph, decay=0.8, max_depth=3):
     """Extend direct trust along short directed paths with geometric damping.
 
@@ -320,41 +326,92 @@ def propagate_trust(graph, decay=0.8, max_depth=3):
     of edge trusts over any shortest path, scaled by decay^(d-1); direct
     edges keep their stored value.  Pairs farther than ``max_depth`` hops (or
     unreachable) are absent.
+
+    Pairs run by (truster, hop, discovery rank), the order ``graph.ckpt``
+    stores.  Hop 1 is the truster's CSR row in row order.  Hop d+1 scans
+    hop d's nodes in their order, each node's CSR row in row order, and
+    ranks a node by its first candidate with a positive product; nodes
+    reached at an earlier hop (or the truster itself) are skipped.
+
+    Sources run in blocks of at most ``_JOIN_CANDIDATES`` hop-2 candidates,
+    each through all hops, and each hop is one array join per sub-block
+    of the same size; blocks never split a source.
     """
     if not 0.0 < decay <= 1.0:
         raise ValueError("decay must lie in (0, 1]")
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
-    indptr = graph.indptr.tolist()
-    edges = list(zip(graph.indices.tolist(), graph.data.tolist()))
-    adjacent = [edges[lo:hi] for lo, hi in zip(indptr, indptr[1:])]  # (trustee, value) per row
-    truster, trustee, values = [], [], []
-    for source in range(graph.num_users):
-        if not adjacent[source]:
-            continue
-        # best path product per node at the current BFS level
-        frontier = dict(adjacent[source])
-        reached = {source}
-        row = {}
-        for depth in range(1, max_depth + 1):
-            scale = decay ** (depth - 1)
-            reached.update(frontier)
-            for v, product in frontier.items():
-                row[v] = product * scale
-            if depth == max_depth:
-                break
-            nxt = {}
-            for v, product in frontier.items():
-                for w, t in adjacent[v]:
-                    if w in reached:
-                        continue
-                    candidate = product * t
-                    if candidate > nxt.get(w, 0.0):
-                        nxt[w] = candidate
-            if not nxt:
-                break
-            frontier = nxt
-        truster.extend([source] * len(row))
-        trustee.extend(row)
-        values.extend(row.values())
-    return PropagatedTrust(truster, trustee, values, graph.num_users)
+    out_degree = np.diff(graph.indptr)
+    source, node, product = graph.rows(), graph.indices, graph.data
+    blocks = [
+        _propagate_block(graph, out_degree, source[lo:hi], node[lo:hi], product[lo:hi], decay, max_depth)
+        for lo, hi in _source_blocks(source, out_degree[node])
+    ]
+    columns = [np.concatenate(c) for c in zip(*blocks)] if blocks else ([], [], [])
+    return PropagatedTrust(*columns, graph.num_users)
+
+
+def _propagate_block(graph, out_degree, source, node, product, decay, max_depth):
+    """(truster, trustee, value) of the pairs reached from one block's edges."""
+    n = graph.num_users
+    # sorted source·n + node keys of each source and of every pair reached
+    # so far, one array per hop
+    seen = [np.sort(np.concatenate([np.unique(source) * (n + 1), source * n + node]))]
+    levels = []
+    for depth in range(1, max_depth + 1):
+        levels.append((source, node, product * decay ** (depth - 1)))
+        if depth == max_depth or not len(node):
+            break
+        fanout = out_degree[node]
+        joins = [
+            _join(graph, seen, source[lo:hi], node[lo:hi], product[lo:hi], fanout[lo:hi])
+            for lo, hi in _source_blocks(source, fanout)
+        ]
+        source, node, product, keys = (np.concatenate(c) for c in zip(*joins))
+        seen.append(keys)
+    source, node, product = (np.concatenate(c) for c in zip(*levels))
+    # each level runs by (source, rank); a stable sort interleaves them by source
+    order = np.argsort(source, kind="stable")
+    return source[order], node[order], product[order]
+
+
+def _source_blocks(source, candidates):
+    """(lo, hi) slices of a source-sorted frontier, cut between sources.
+
+    A slice holds at most ``_JOIN_CANDIDATES`` candidates, or one source.
+    """
+    ends = np.flatnonzero(np.diff(source, append=-1)) + 1
+    load = np.cumsum(candidates)[ends - 1]  # candidates through each source
+    blocks, lo, done, i = [], 0, 0, 0
+    while i < len(ends):
+        i = max(int(np.searchsorted(load, done + _JOIN_CANDIDATES, side="right")), i + 1)
+        blocks.append((lo, ends[i - 1]))
+        lo, done = ends[i - 1], load[i - 1]
+    return blocks
+
+
+def _join(graph, seen, source, node, product, fanout):
+    """The next hop of one block of sources, as (source, node, product, keys).
+
+    ``fanout`` is each frontier node's out-degree.  The new nodes come in
+    discovery order with their largest product; ``keys`` holds their
+    source·n + node keys sorted.
+    """
+    n = graph.num_users
+    ends = np.cumsum(fanout)
+    edge = np.arange(ends[-1]) + np.repeat(graph.indptr[node] - ends + fanout, fanout)
+    key = np.repeat(source, fanout) * n + graph.indices[edge]
+    value = np.repeat(product, fanout) * graph.data[edge]
+    found = np.flatnonzero(value > 0.0)  # candidate positions, sorted by key next
+    found = found[np.argsort(key[found])]
+    starts = np.flatnonzero(np.diff(key[found], prepend=-1))
+    keys = key[found[starts]]
+    new = np.ones(len(keys), dtype=bool)
+    for old in seen:
+        at = np.minimum(np.searchsorted(old, keys), len(old) - 1)
+        new &= old[at] != keys
+    first = np.minimum.reduceat(found, starts)[new]
+    best = np.maximum.reduceat(value[found], starts)[new]
+    keys = keys[new]
+    rank = np.argsort(first)
+    return keys[rank] // n, keys[rank] % n, best[rank], keys

@@ -9,6 +9,7 @@ from scipy import sparse
 
 from trustrec.autoencoder import init_autoencoder, selu, selu_grad
 from trustrec.embed import step_distribution
+from trustrec.graph import PropagatedTrust
 
 
 def central_difference(fn, x, step=1e-5):
@@ -138,6 +139,54 @@ def exhaustive_propagation(out_edges, num_users, decay, max_depth):
                 dest: product * decay ** (dist - 1) for dest, (dist, product) in found.items()
             }
     return results
+
+
+def dict_propagate_trust(graph, decay=0.8, max_depth=3):
+    """The per-source dict BFS that propagate_trust's array joins replaced.
+
+    Kept verbatim as the reference for their values and pair order.  The
+    value for a pair at shortest-path distance d is the largest product of
+    edge trusts over any shortest path, scaled by decay^(d-1); direct edges
+    keep their stored value.  Pairs farther than ``max_depth`` hops (or
+    unreachable) are absent.
+    """
+    if not 0.0 < decay <= 1.0:
+        raise ValueError("decay must lie in (0, 1]")
+    if max_depth < 1:
+        raise ValueError("max_depth must be at least 1")
+    indptr = graph.indptr.tolist()
+    edges = list(zip(graph.indices.tolist(), graph.data.tolist()))
+    adjacent = [edges[lo:hi] for lo, hi in zip(indptr, indptr[1:])]  # (trustee, value) per row
+    truster, trustee, values = [], [], []
+    for source in range(graph.num_users):
+        if not adjacent[source]:
+            continue
+        # best path product per node at the current BFS level
+        frontier = dict(adjacent[source])
+        reached = {source}
+        row = {}
+        for depth in range(1, max_depth + 1):
+            scale = decay ** (depth - 1)
+            reached.update(frontier)
+            for v, product in frontier.items():
+                row[v] = product * scale
+            if depth == max_depth:
+                break
+            nxt = {}
+            for v, product in frontier.items():
+                for w, t in adjacent[v]:
+                    if w in reached:
+                        continue
+                    candidate = product * t
+                    if candidate > nxt.get(w, 0.0):
+                        nxt[w] = candidate
+            if not nxt:
+                break
+            frontier = nxt
+        truster.extend([source] * len(row))
+        trustee.extend(row)
+        values.extend(row.values())
+    return PropagatedTrust(truster, trustee, values, graph.num_users)
 
 
 class DictTrustGraph:

@@ -392,3 +392,13 @@ class TestSubsample:
         ratings = make_ratings([(u, 0, 2.0) for u in range(3)], 3, 1)
         _, _, kept = subsample_top_trust_users(ratings, g, 1)
         assert kept.tolist() == [0]
+
+    def test_mismatched_user_counts_name_both(self, make_ratings):
+        # a trust-only user 3 widens the graph past the ratings' 3 users
+        g = TrustGraph.from_edges(4, [(3, 0, 1.0), (0, 3, 1.0), (1, 3, 1.0)])
+        ratings = make_ratings([(u, 0, 2.0) for u in range(3)], 3, 1)
+        with pytest.raises(ValueError, match=r"4 users.*have 3"):
+            subsample_top_trust_users(ratings, g, 2)
+        narrow = TrustGraph.from_edges(2, [(0, 1, 1.0)])
+        with pytest.raises(ValueError, match=r"2 users.*have 3"):
+            subsample_top_trust_users(ratings, narrow, 2)

@@ -5,9 +5,11 @@ from scipy import sparse
 from oracles import (
     best_partition_value,
     dense_pagerank,
+    dict_propagate_trust,
     exhaustive_propagation,
     single_move_optimal,
 )
+from trustrec import graph as graph_module
 from trustrec.data import TrustGraph
 from trustrec.graph import (
     centrality,
@@ -30,6 +32,29 @@ def complete_graph(n):
 def pair_value(propagated, truster, trustee):
     """Propagated trust of one pair, or 0.0 when the trustee is out of reach."""
     return {(u, v): t for u, v, t in propagated.pairs()}.get((truster, trustee), 0.0)
+
+
+def random_trust_graph(rng, n, p, values=None):
+    """Directed graph with cycles and reciprocal edges; about a fifth of the
+    users isolated.  ``values`` draws trust from a small set, which makes
+    equal path products common; None draws it uniformly from [0.1, 1]."""
+    isolated = set(rng.choice(n, size=n // 5, replace=False).tolist()) if n else set()
+    edges = [
+        (a, b, float(rng.choice(values)) if values else float(rng.uniform(0.1, 1.0)))
+        for a in range(n)
+        for b in range(n)
+        if a != b and a not in isolated and b not in isolated and rng.random() < p
+    ]
+    edges = [edges[j] for j in rng.permutation(len(edges))]  # rows not in trustee order
+    return TrustGraph.from_edges(n, edges)
+
+
+def assert_same_pairs(mine, reference):
+    """Equal truster and trustee arrays and bit-equal values, in the same order."""
+    assert mine.num_users == reference.num_users
+    np.testing.assert_array_equal(mine.truster, reference.truster)
+    np.testing.assert_array_equal(mine.trustee, reference.trustee)
+    np.testing.assert_array_equal(mine.values.view(np.int64), reference.values.view(np.int64))
 
 
 def random_connected_graph(rng, n, p=0.4):
@@ -352,6 +377,75 @@ class TestPropagation:
             for u in oracle:
                 for v, t in oracle[u].items():
                     assert got[(u, v)] == pytest.approx(t, abs=1e-12)
+
+    def test_pair_order_is_truster_hop_discovery(self):
+        # 0's row lists 2 before 1; hop 2 scans 2's row first, so 5 ranks
+        # before 4 although 1 reaches both; 3 reaches nobody new
+        g = TrustGraph.from_edges(
+            6, [(0, 2, 0.5), (0, 1, 1.0), (2, 5, 1.0), (1, 4, 0.5), (1, 5, 1.0), (3, 0, 1.0)]
+        )
+        result = propagate_trust(g, decay=0.8, max_depth=2)
+        assert list(zip(result.truster.tolist(), result.trustee.tolist())) == [
+            (0, 2), (0, 1), (0, 5), (0, 4),
+            (1, 4), (1, 5),
+            (2, 5),
+            (3, 0), (3, 2), (3, 1),
+        ]
+        # 5 via 2 (0.5 · 1.0) and via 1 (1.0 · 1.0): the larger product wins
+        assert pair_value(result, 0, 5) == 1.0 * 0.8
+
+    def test_equal_products_keep_first_discovery(self):
+        # 3 is reached through 1 and through 2 with the same product 0.5
+        g = TrustGraph.from_edges(4, [(0, 1, 0.5), (0, 2, 1.0), (2, 3, 0.5), (1, 3, 1.0)])
+        for decay in (1.0, 0.8):
+            assert_same_pairs(
+                propagate_trust(g, decay=decay, max_depth=3),
+                dict_propagate_trust(g, decay=decay, max_depth=3),
+            )
+
+    def test_empty_and_edgeless_graphs(self):
+        for n in (0, 1, 4):
+            result = propagate_trust(TrustGraph(n), decay=0.8, max_depth=3)
+            assert result.num_pairs == 0 and result.num_users == n
+            assert result.truster.dtype == result.trustee.dtype == np.int64
+            assert result.values.dtype == np.float64
+
+    @pytest.mark.parametrize("values", [None, (0.5, 0.8, 1.0)], ids=["uniform", "ties"])
+    def test_bit_equal_to_dict_reference(self, values):
+        rng = np.random.default_rng(15)
+        for trial in range(40):
+            n = int(rng.integers(0, 25))
+            g = random_trust_graph(rng, n, float(rng.uniform(0.05, 0.5)), values)
+            for depth in (1, 2, 3, 4):
+                for decay in (1.0, 0.8):
+                    assert_same_pairs(
+                        propagate_trust(g, decay=decay, max_depth=depth),
+                        dict_propagate_trust(g, decay=decay, max_depth=depth),
+                    )
+
+    @pytest.mark.parametrize("cap", [1, 7, 10**12], ids=["one-source", "small", "one-block"])
+    def test_source_blocks_do_not_change_pairs(self, monkeypatch, cap):
+        rng = np.random.default_rng(16)
+        graphs = [random_trust_graph(rng, 60, 0.08, (0.5, 0.8, 1.0)) for _ in range(3)]
+        joins = []
+        join = graph_module._join
+
+        def recording_join(graph, seen, source, node, product, fanout):
+            joins.append((len(np.unique(source)), int(fanout.sum())))
+            return join(graph, seen, source, node, product, fanout)
+
+        monkeypatch.setattr(graph_module, "_join", recording_join)
+        monkeypatch.setattr(graph_module, "_JOIN_CANDIDATES", cap)
+        for g in graphs:
+            for depth in (2, 3, 4):
+                assert_same_pairs(
+                    propagate_trust(g, decay=0.8, max_depth=depth),
+                    dict_propagate_trust(g, decay=0.8, max_depth=depth),
+                )
+        # a join holds at most the cap, or one source's candidates
+        assert joins and all(sources == 1 or candidates <= cap for sources, candidates in joins)
+        if cap == 10**12:
+            assert len(joins) == 3 * (1 + 2 + 3)  # one join per hop
 
     def test_parameter_validation(self):
         g = TrustGraph.from_edges(2, [(0, 1, 1.0)])

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from trustrec import model as model_module
 from trustrec.data import RatingMatrix
 from trustrec.embed import EmbeddingTable
 from trustrec.graph import LeaderTable, PropagatedTrust
@@ -200,6 +203,51 @@ class TestObjective:
         without = gradients(params, ctx, plain_hp())
         for a, b in zip(with_term, without):
             np.testing.assert_array_equal(a, b)
+
+
+class TestTrustTermBlocks:
+    @staticmethod
+    def trust_case(rng, num_pairs, k, m=40):
+        ratings = RatingMatrix(m, 3, np.arange(m), np.arange(m) % 3, rng.uniform(1.0, 5.0, m)).validate()
+        trust = PropagatedTrust(
+            rng.integers(0, m, num_pairs), rng.integers(0, m, num_pairs),
+            rng.uniform(0.1, 1.0, num_pairs), m,
+        )
+        params = ModelParams(rng.normal(size=(k, m)), rng.normal(size=(k, 3)), rng.normal(size=k))
+        return params, ratings, trust
+
+    @pytest.mark.parametrize("block", [model_module._PAIR_BLOCK, 7])
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_bit_equal_to_unchunked_sum(self, monkeypatch, block, k):
+        monkeypatch.setattr(model_module, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(k)
+        for num_pairs in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+            params, ratings, trust = self.trust_case(rng, num_pairs, k)
+            hp = plain_hp(k=k, lam_p=0.1, lam_q=0.2, lam_t=0.3)
+            without = objective(params, TrainingContext(train=ratings), hp)
+            expected = without
+            if num_pairs:
+                diff = params.P[:, trust.truster] - params.P[:, trust.trustee]
+                expected = without + 0.5 * 0.3 * (trust.values * (diff * diff).sum(axis=0)).sum()
+            got = objective(params, TrainingContext(train=ratings, trust=trust), hp)
+            assert got == expected, f"{num_pairs} pairs"
+
+    def test_trust_term_memory_is_per_pair_scalar(self):
+        # unchunked, the term built two gathered k × pairs arrays, their
+        # difference and its square, three of them alive at once (92 MB here)
+        num_pairs, k = 400_000, 10
+        params, ratings, trust = self.trust_case(np.random.default_rng(0), num_pairs, k, m=1000)
+        ctx = TrainingContext(train=ratings, trust=trust)
+        hp = plain_hp(k=k, lam_t=0.3)
+        tables = _Tables(ctx, k)
+        tracemalloc.start()
+        try:
+            objective(params, ctx, hp, tables)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        unchunked_mb = 4 * k * 8 * num_pairs / 2**20
+        assert peak < 2 * 8 * num_pairs, f"peak {peak / 2**20:.1f} MB against {unchunked_mb:.0f} MB unchunked"
 
 
 class TestGradients:
