@@ -27,7 +27,7 @@ def main():
     leaders = community_leaders(graph, communities)
     propagated = propagate_trust(graph, decay=0.8, max_depth=2)
     print(f"{communities.num_communities} communities, "
-          f"{len(list(propagated.pairs()))} propagated trust pairs")
+          f"{propagated.num_pairs} propagated trust pairs")
 
     embeddings = node_embeddings(graph, WalkConfig(
         dimensions=8, num_walks=8, walk_length=30, p=1.0, q=0.5, window=5, seed=7))

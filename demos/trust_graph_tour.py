@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from trustrec.graph import centrality, community_leaders, louvain, propagate_trust
+from trustrec.graph import community_leaders, directed_adjacency, louvain, pagerank, propagate_trust
 from trustrec.synth import toy_bundle
 
 bundle = toy_bundle(seed=0)
@@ -20,19 +20,20 @@ leaders = community_leaders(graph, communities)
 print(f"leaders by in-community pagerank: {leaders.leaders.tolist()}")
 print(f"planted hubs were: {bundle.hubs.tolist()}")
 
-scores = centrality(graph, method="pagerank")
-top = np.argsort(scores.scores)[::-1][:5]
-print("five most central users overall:", [(int(u), round(float(scores.scores[u]), 4)) for u in top])
+scores = pagerank(directed_adjacency(graph))
+top = np.argsort(scores)[::-1][:5]
+print("five most central users overall:", [(int(u), round(float(scores[u]), 4)) for u in top])
 
 propagated = propagate_trust(graph, decay=0.8, max_depth=3)
 direct = graph.num_edges
-reachable = len(list(propagated.pairs()))
+reachable = propagated.num_pairs
 print(f"{direct} direct edges propagate to {reachable} trusting pairs within 3 hops")
 
 # one concrete chain: strongest indirect value that has no direct edge
 direct_pairs = {(u, v) for u, v, _ in graph.edges()}
 best = max(
-    ((u, v, t) for u, v, t in propagated.pairs() if (u, v) not in direct_pairs),
+    ((u, v, t) for u, v, t in zip(propagated.truster.tolist(), propagated.trustee.tolist(), propagated.values.tolist())
+     if (u, v) not in direct_pairs),
     key=lambda uvt: uvt[2],
 )
 print(f"strongest purely indirect trust: {best[0]} -> {best[1]} at {best[2]:.3f}")

@@ -25,11 +25,9 @@ from .data import (
 from .embed import EmbeddingTable, WalkConfig, generate_walks, node_embeddings, train_embeddings
 from .evaluation import EvalReport, evaluate, rmse, run_ablations
 from .graph import (
-    CentralityScores,
     CommunityAssignment,
     LeaderTable,
     PropagatedTrust,
-    centrality,
     community_leaders,
     louvain,
     modularity,
@@ -53,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AutoencoderConfig",
     "AutoencoderModel",
-    "CentralityScores",
     "CommunityAssignment",
     "DataFormatError",
     "EmbeddingTable",
@@ -68,7 +65,6 @@ __all__ = [
     "TrainingContext",
     "TrustGraph",
     "WalkConfig",
-    "centrality",
     "community_leaders",
     "evaluate",
     "generate_walks",

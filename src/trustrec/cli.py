@@ -19,7 +19,7 @@ import hashlib
 import os
 import shutil
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .data import (
 )
 from .embed import EmbeddingTable, WalkConfig, node_embeddings
 from .graph import (
+    CENTRALITY_METHODS,
     LeaderTable,
     PropagatedTrust,
     community_leaders,
@@ -68,6 +69,16 @@ class GraphOptions:
     damping: float = 0.85
     louvain_seed: int = 0
 
+    def __post_init__(self):
+        if self.centrality not in CENTRALITY_METHODS:
+            raise ValueError(f"unknown centrality method {self.centrality!r}")
+        if not 0 < self.decay <= 1:
+            raise ValueError("decay must lie in (0, 1]")
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be at least 1")
+        if not 0 <= self.damping < 1:
+            raise ValueError("damping must lie in [0, 1)")
+
 
 @dataclass
 class PipelineConfig:
@@ -86,6 +97,15 @@ def _parse_ints(text):
     return tuple(int(part) for part in text.replace(",", " ").split())
 
 
+# section -> the dataclass whose fields and defaults are that section's keys
+SECTIONS = {
+    "split": SplitSpec,
+    "autoencoder": AutoencoderConfig,
+    "walks": WalkConfig,
+    "graph": GraphOptions,
+    "model": HyperParams,
+}
+
 # key -> (converter, default); config files may override any subset
 DEFAULTS = {
     "paths.ratings": (str, ""),
@@ -93,41 +113,14 @@ DEFAULTS = {
     "paths.work": (str, "work"),
     "data.scale_min": (float, 1.0),
     "data.scale_max": (float, 5.0),
-    "split.train_fraction": (float, 0.8),
-    "split.seed": (int, 0),
-    "autoencoder.hidden_sizes": (_parse_ints, (128, 64, 32, 10, 32, 64, 128)),
-    "autoencoder.learning_rate": (float, 0.001),
-    "autoencoder.batch_size": (int, 128),
-    "autoencoder.epochs": (int, 20),
-    "autoencoder.seed": (int, 0),
-    "walks.dimensions": (int, 10),
-    "walks.num_walks": (int, 10),
-    "walks.walk_length": (int, 80),
-    "walks.p": (float, 1.0),
-    "walks.q": (float, 1.0),
-    "walks.window": (int, 5),
-    "walks.negatives": (int, 5),
-    "walks.epochs": (int, 1),
-    "walks.learning_rate": (float, 0.025),
-    "walks.batch_size": (int, 1024),
-    "walks.seed": (int, 0),
-    "graph.decay": (float, 0.8),
-    "graph.max_depth": (int, 3),
-    "graph.centrality": (str, "pagerank"),
-    "graph.damping": (float, 0.85),
-    "graph.louvain_seed": (int, 0),
-    "model.k": (int, 10),
-    "model.learning_rate": (float, 0.005),
-    "model.lam_p": (float, 0.1),
-    "model.lam_q": (float, 0.1),
-    "model.lam_w": (float, 0.1),
-    "model.lam_t": (float, 0.1),
-    "model.lam_c": (float, 0.1),
-    "model.epochs": (int, 50),
-    "model.seed": (int, 0),
+    **{
+        f"{name}.{f.name}": (_parse_ints if isinstance(f.default, tuple) else type(f.default), f.default)
+        for name, cls in SECTIONS.items()
+        for f in fields(cls)
+    },
 }
 
-_SEED_KEYS = ("split.seed", "autoencoder.seed", "walks.seed", "graph.louvain_seed", "model.seed")
+_SEED_KEYS = tuple(key for key in DEFAULTS if key.endswith("seed"))
 
 
 def parse_config_file(path):
@@ -167,6 +160,9 @@ def build_config(raw, seed_override=None, work_override=None):
             values[key] = seed_override
     if work_override is not None:
         values["paths.work"] = work_override
+    for key in _SEED_KEYS:
+        if values[key] < 0:
+            raise ConfigError(f"bad value for {key}: seeds must be non-negative, got {values[key]}")
 
     def section(prefix):
         plen = len(prefix) + 1
@@ -178,11 +174,7 @@ def build_config(raw, seed_override=None, work_override=None):
             trust_path=values["paths.trust"],
             work_dir=values["paths.work"],
             scale=(values["data.scale_min"], values["data.scale_max"]),
-            split=SplitSpec(values["split.train_fraction"], values["split.seed"]),
-            autoencoder=AutoencoderConfig(**section("autoencoder")),
-            walks=WalkConfig(**section("walks")),
-            graph=GraphOptions(**section("graph")),
-            model=HyperParams(**section("model")),
+            **{name: cls(**section(name)) for name, cls in SECTIONS.items()},
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -367,7 +359,7 @@ def _load_context(config, train_split):
         train_split,
         trust=PropagatedTrust(truster, trustee, trust, meta["num_users"]),
         embeddings=_load_embeddings(work),
-        leaders=LeaderTable(arrays["leaders"].astype(np.int64), labels, "stored"),
+        leaders=LeaderTable(arrays["leaders"].astype(np.int64), labels),
     )
     return ctx, (codes["init_P"], codes["init_Q"])
 
@@ -396,7 +388,10 @@ def cmd_train(config, values):
         _, _, trust = prepared()
         communities = louvain(trust, seed=config.graph.louvain_seed)
         kwargs = {"damping": config.graph.damping} if config.graph.centrality == "pagerank" else {}
-        leaders = community_leaders(trust, communities, method=config.graph.centrality, **kwargs)
+        try:
+            leaders = community_leaders(trust, communities, method=config.graph.centrality, **kwargs)
+        except RuntimeError as exc:  # a centrality iteration that does not converge
+            raise NumericError(str(exc)) from None
         propagated = propagate_trust(trust, config.graph.decay, config.graph.max_depth)
         pairs = np.column_stack([propagated.truster, propagated.trustee, propagated.values])
         save_checkpoint(

@@ -39,9 +39,6 @@ class IdMap:
     def __len__(self):
         return len(self._ids)
 
-    def __contains__(self, external_id):
-        return external_id in self._index
-
     def add(self, external_id):
         """Return the index for ``external_id``, allocating a new one if unseen."""
         idx = self._index.get(external_id)

@@ -63,9 +63,6 @@ class EmbeddingTable:
     def dimensions(self):
         return self.vectors.shape[1]
 
-    def vector(self, node):
-        return self.vectors[node]
-
 
 def step_distribution(adjacency, prev, cur, p, q):
     """Exact next-node distribution for one biased step.

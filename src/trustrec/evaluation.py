@@ -29,7 +29,6 @@ class EvalReport:
     rmse: float
     num_pairs: int
     seed: int
-    config: dict = None
 
     def line(self):
         return f"{self.model_tag}\t{self.rmse!r}\t{self.num_pairs}\t{self.seed}"
@@ -40,7 +39,7 @@ class EvalReport:
         return cls(tag, float(value), int(n), int(seed))
 
 
-def evaluate(params, embeddings, test, model_tag="model", seed=0, config=None):
+def evaluate(params, embeddings, test, model_tag="model", seed=0):
     """Clamped-prediction RMSE of a trained model on a non-empty held-out split.
 
     Predictions are clipped to the rating scale before scoring.  Users or
@@ -51,7 +50,7 @@ def evaluate(params, embeddings, test, model_tag="model", seed=0, config=None):
     known = (test.users < params.num_users) & (test.items < params.num_items)
     preds[known] = predict(params, embeddings, test.users[known], test.items[known])
     preds = np.clip(preds, test.r_min, test.r_max)
-    return EvalReport(model_tag, rmse(np.column_stack([test.values, preds])), len(test), seed, config)
+    return EvalReport(model_tag, rmse(np.column_stack([test.values, preds])), len(test), seed)
 
 
 def constant_baseline(value, test, model_tag="constant"):

@@ -151,14 +151,6 @@ def _aggregate(adjacency, labels):
     return agg
 
 
-@dataclass
-class CentralityScores:
-    """Per-user importance scores from one method; scores sum to one."""
-
-    scores: np.ndarray
-    method: str
-
-
 def pagerank(adjacency, damping=0.85, tol=1e-10, max_iter=1000):
     """Power iteration PageRank on a directed weighted adjacency.
 
@@ -223,24 +215,11 @@ def degree_centrality(adjacency):
     return counts / counts.sum()
 
 
-_CENTRALITY_METHODS = {
+CENTRALITY_METHODS = {
     "pagerank": pagerank,
     "hits": hits_authority,
     "degree": degree_centrality,
 }
-
-
-def _centrality_method(method):
-    try:
-        return _CENTRALITY_METHODS[method]
-    except KeyError:
-        raise ValueError(f"unknown centrality method {method!r}") from None
-
-
-def centrality(graph, method="pagerank", **kwargs):
-    """Centrality of every user in the full directed trust graph."""
-    fn = _centrality_method(method)
-    return CentralityScores(fn(directed_adjacency(graph), **kwargs), method)
 
 
 @dataclass
@@ -253,10 +232,6 @@ class LeaderTable:
 
     leaders: np.ndarray
     labels: np.ndarray
-    method: str
-
-    def leader_of_user(self, user):
-        return int(self.leaders[self.labels[user]])
 
     def user_leaders(self):
         """Per-user leader index, -1 where the user is the leader themselves."""
@@ -272,7 +247,9 @@ def community_leaders(graph, communities, method="pagerank", **kwargs):
     the community's members; ties go to the smallest user index.  Singleton
     communities lead themselves.
     """
-    fn = _centrality_method(method)
+    if method not in CENTRALITY_METHODS:
+        raise ValueError(f"unknown centrality method {method!r}")
+    fn = CENTRALITY_METHODS[method]
     adjacency = directed_adjacency(graph)
     labels = communities.labels
     leaders = np.zeros(communities.num_communities, dtype=np.int64)
@@ -284,7 +261,7 @@ def community_leaders(graph, communities, method="pagerank", **kwargs):
         sub = adjacency[members][:, members]
         scores = fn(sub, **kwargs)
         leaders[c] = members[int(np.argmax(scores))]
-    return LeaderTable(leaders, labels, method)
+    return LeaderTable(leaders, labels)
 
 
 @dataclass
@@ -305,9 +282,6 @@ class PropagatedTrust:
         self.truster = np.asarray(self.truster, dtype=np.int64)
         self.trustee = np.asarray(self.trustee, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=np.float64)
-
-    def pairs(self):
-        return zip(self.truster.tolist(), self.trustee.tolist(), self.values.tolist())
 
     @property
     def num_pairs(self):

@@ -72,7 +72,7 @@ def make_context():
                 [int(rng.choice(np.flatnonzero(labels == c))) for c in range(labels.max() + 1)],
                 dtype=np.int64,
             )
-            leaders = LeaderTable(heads, labels, "stored")
+            leaders = LeaderTable(heads, labels)
 
         embeddings = None
         if with_embeddings:

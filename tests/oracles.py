@@ -413,7 +413,7 @@ def reference_sgd_epoch(params, ctx, hp, rng=None):
     # trust partners of u over both directions, each with its pair's value
     partners = [[] for _ in range(m)]
     if ctx.trust is not None:
-        for a, b, t in ctx.trust.pairs():
+        for a, b, t in zip(ctx.trust.truster.tolist(), ctx.trust.trustee.tolist(), ctx.trust.values.tolist()):
             partners[a].append((b, t))
             partners[b].append((a, t))
     leaders = ctx.leaders.user_leaders() if ctx.leaders is not None else np.full(m, -1)

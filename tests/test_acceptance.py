@@ -228,7 +228,7 @@ def test_criterion_3_graph_oracles():
         decay, depth = 0.8, 3
         got = propagate_trust(graph, decay, depth)
         want = exhaustive_propagation(out_edges, n, decay, depth)
-        pairs = {(u, v): t for u, v, t in got.pairs()}
+        pairs = {(u, v): t for u, v, t in zip(got.truster.tolist(), got.trustee.tolist(), got.values.tolist())}
         flat_want = {(u, v): t for u, inner in want.items() for v, t in inner.items()}
         if pairs.keys() != flat_want.keys():
             propagation_ok = False

@@ -2,6 +2,7 @@ import fcntl
 import importlib.util
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -22,6 +23,7 @@ from trustrec.cli import (
     parse_config_file,
 )
 from trustrec.data import IdMap, load_ratings, load_trust
+from trustrec.synth import toy_bundle, write_bundle
 
 BASE_CONFIG = """\
 paths.ratings = {ratings}
@@ -41,6 +43,14 @@ model.k = 3
 model.learning_rate = 0.02
 model.epochs = 5
 """
+
+# one key per section that a train stage reads: (a new value, that stage)
+STAGE_OF_CHANGE = {
+    "autoencoder.epochs": ("4", "autoencoder"),
+    "walks.p": ("0.5", "embed"),
+    "graph.decay": ("0.7", "graph"),
+    "model.epochs": ("7", "train"),
+}
 
 
 def write_dataset(root):
@@ -115,10 +125,19 @@ class TestConfigParsing:
             build_config({"model.k": "banana"})
 
     def test_out_of_domain_value(self):
-        with pytest.raises(ConfigError):
-            build_config({"model.k": "0"})
-        with pytest.raises(ConfigError):
-            build_config({"walks.p": "-1.0"})
+        for key, value in (
+            ("model.k", "0"),
+            ("walks.p", "-1.0"),
+            ("graph.centrality", "betweenness"),
+            ("graph.decay", "0"),
+            ("graph.decay", "1.5"),
+            ("graph.max_depth", "0"),
+            ("graph.damping", "1.5"),
+            ("graph.damping", "-0.1"),
+            *((key, "-1") for key in _SEED_KEYS),
+        ):
+            with pytest.raises(ConfigError):
+                build_config({key: value})
 
     def test_hidden_sizes_parse(self):
         config, _ = build_config({
@@ -133,6 +152,20 @@ class TestConfigParsing:
             build_config({"autoencoder.hidden_sizes": "8, 3, 8"})
         with pytest.raises(ConfigError, match="walks.dimensions"):
             build_config({"walks.dimensions": "4"})
+
+    def test_readme_config_reference_lists_every_key(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        reference = readme.split("## Config reference", 1)[1].split("\n## ", 1)[0]
+        listed = {}
+        for line in reference.splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if len(cells) == 2 and cells[0].startswith("`"):
+                listed[cells[0].strip("`")] = re.findall(r"`(\w+)`", cells[1])
+        want = {}
+        for key in DEFAULTS:
+            section, name = key.split(".", 1)
+            want.setdefault(section, []).append(name)
+        assert listed == want
 
     def test_seed_override_reaches_every_stage(self):
         _, values = build_config({}, seed_override=77)
@@ -183,23 +216,26 @@ class TestPipeline:
         after = (train_file.stat().st_mtime_ns, train_file.read_bytes())
         assert after == before
 
-    def test_config_change_recomputes_only_affected_stage(self, workspace):
+    @pytest.mark.parametrize("key", list(STAGE_OF_CHANGE))
+    def test_config_change_recomputes_only_affected_stage(self, workspace, key):
+        value, stage = STAGE_OF_CHANGE[key]
         tmp_path, config_path = workspace
         config = config_path()
         assert self.run(config, "prepare") == 0
         assert self.run(config, "train") == 0
         work = tmp_path / "work"
+        names = ("prepare", "autoencoder", "graph", "embed", "train")
 
         def stages(prefix):
             return sorted(d for d in os.listdir(work) if d.startswith(prefix + "-"))
 
-        first = {p: stages(p) for p in ("prepare", "autoencoder", "graph", "embed", "train")}
-        changed = config_path(name="changed.txt", **{"model.epochs": "7"})
+        first = {p: stages(p) for p in names}
+        changed = config_path(name="changed.txt", **{key: value})
         assert self.run(changed, "train") == 0
-        second = {p: stages(p) for p in ("prepare", "autoencoder", "graph", "embed", "train")}
-        assert second["train"] != first["train"] and len(second["train"]) == 2
-        for stage in ("prepare", "autoencoder", "graph", "embed"):
-            assert second[stage] == first[stage]
+        second = {p: stages(p) for p in names}
+        assert {p for p in names if second[p] != first[p]} == {stage, "train"}
+        for p in (stage, "train"):
+            assert len(second[p]) == 2 and set(first[p]) < set(second[p])
 
     def test_train_parses_prepared_data_once(self, workspace, monkeypatch):
         _, config_path = workspace
@@ -435,6 +471,26 @@ class TestPipeline:
         assert self.run(config, "prepare") == 0
         with np.errstate(all="ignore"):
             assert self.run(config, "train") == 3
+
+    def test_unconverged_centrality_exits_3(self, tmp_path, capsys):
+        ratings, trust = tmp_path / "ratings.txt", tmp_path / "trust.txt"
+        write_bundle(toy_bundle(0), ratings, trust)
+        config = tmp_path / "config.txt"
+        text = BASE_CONFIG.format(ratings=ratings, trust=trust, work=tmp_path / "work")
+        config.write_text(text + "graph.damping = 0.99\n")
+        assert self.run(str(config), "prepare") == 0
+        capsys.readouterr()
+        assert self.run(str(config), "train") == 3
+        assert "pagerank did not converge" in capsys.readouterr().err
+
+    def test_bad_setting_exits_2_before_any_stage(self, workspace, capsys):
+        tmp_path, config_path = workspace
+        config = config_path()
+        assert main(["--config", config, "--seed", "-1", "prepare"]) == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert self.run(config, "prepare") == 0
+        assert self.run(config_path(name="bad.txt", **{"graph.decay": "0"}), "train") == 2
+        assert not any(d.startswith("autoencoder") for d in os.listdir(tmp_path / "work"))
 
     def test_work_lock_blocks_concurrent_commands(self, workspace):
         tmp_path, config_path = workspace

@@ -431,16 +431,16 @@ class TestNodeEmbeddings:
         g = TrustGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0)])
         config = WalkConfig(dimensions=4, num_walks=3, walk_length=8, epochs=1, seed=0)
         table = node_embeddings(g, config)
-        assert np.linalg.norm(table.vector(3)) == 0.0
+        assert np.linalg.norm(table.vectors[3]) == 0.0
         for u in range(3):
-            assert np.linalg.norm(table.vector(u)) > 0
+            assert np.linalg.norm(table.vectors[u]) > 0
 
     def test_directed_edge_walked_both_ways(self):
         g = TrustGraph.from_edges(2, [(0, 1, 1.0)])  # only one direction stored
         config = WalkConfig(dimensions=3, num_walks=2, walk_length=5, epochs=1, seed=0)
         table = node_embeddings(g, config)
-        assert np.linalg.norm(table.vector(0)) > 0
-        assert np.linalg.norm(table.vector(1)) > 0
+        assert np.linalg.norm(table.vectors[0]) > 0
+        assert np.linalg.norm(table.vectors[1]) > 0
 
     def test_barbell_cliques_separate(self):
         config = WalkConfig(
@@ -450,7 +450,7 @@ class TestNodeEmbeddings:
         table = node_embeddings(barbell_graph(), config)
         intra, inter = [], []
         for a, b in combinations(range(10), 2):
-            sim = cosine_similarity(table.vector(a), table.vector(b))
+            sim = cosine_similarity(table.vectors[a], table.vectors[b])
             (intra if (a < 5) == (b < 5) else inter).append(sim)
         assert np.mean(intra) > np.mean(inter)
 

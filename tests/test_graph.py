@@ -12,7 +12,7 @@ from oracles import (
 from trustrec import graph as graph_module
 from trustrec.data import TrustGraph
 from trustrec.graph import (
-    centrality,
+    CENTRALITY_METHODS,
     community_leaders,
     degree_centrality,
     directed_adjacency,
@@ -31,7 +31,7 @@ def complete_graph(n):
 
 def pair_value(propagated, truster, trustee):
     """Propagated trust of one pair, or 0.0 when the trustee is out of reach."""
-    return {(u, v): t for u, v, t in propagated.pairs()}.get((truster, trustee), 0.0)
+    return {(u, v): t for u, v, t in zip(propagated.truster.tolist(), propagated.trustee.tolist(), propagated.values.tolist())}.get((truster, trustee), 0.0)
 
 
 def random_trust_graph(rng, n, p, values=None):
@@ -237,11 +237,10 @@ class TestOtherCentralities:
         np.testing.assert_allclose(scores, np.array([1, 2, 1]) / 4)
 
     def test_dispatch_and_unknown_method(self, triangle_pair):
-        scores = centrality(triangle_pair, "degree")
-        assert scores.method == "degree"
-        assert len(scores.scores) == 6
+        assert CENTRALITY_METHODS == {"pagerank": pagerank, "hits": hits_authority, "degree": degree_centrality}
+        communities = louvain(triangle_pair, seed=0)
         with pytest.raises(ValueError):
-            centrality(triangle_pair, "betweenness")
+            community_leaders(triangle_pair, communities, "betweenness")
 
 
 class TestLeaders:
@@ -292,7 +291,7 @@ class TestLeaders:
             if u in table.leaders:
                 assert per_user[u] == -1
             else:
-                assert per_user[u] == table.leader_of_user(u)
+                assert per_user[u] == table.leaders[table.labels[u]]
 
     def test_permutation_equivariance_without_ties(self):
         # a path 0-1-2-3-4 has distinct pagerank per position
@@ -356,7 +355,7 @@ class TestPropagation:
     def test_num_pairs_counts_entries(self):
         g = TrustGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
         result = propagate_trust(g, decay=0.8, max_depth=2)
-        assert result.num_pairs == len(list(result.pairs())) == 3
+        assert result.num_pairs == len(result.truster) == len(result.trustee) == 3
 
     def test_matches_exhaustive_oracle_on_random_digraphs(self):
         rng = np.random.default_rng(7)
@@ -371,7 +370,7 @@ class TestPropagation:
             depth = int(rng.integers(1, 4))
             mine = propagate_trust(g, decay=0.8, max_depth=depth)
             oracle = exhaustive_propagation(edges, n, 0.8, depth)
-            got = {(u, v): t for u, v, t in mine.pairs()}
+            got = {(u, v): t for u, v, t in zip(mine.truster.tolist(), mine.trustee.tolist(), mine.values.tolist())}
             assert mine.num_pairs == len(got)
             assert set(got) == {(u, v) for u in oracle for v in oracle[u]}
             for u in oracle:

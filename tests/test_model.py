@@ -89,7 +89,7 @@ class TestParams:
         with pytest.raises(ValueError):
             TrainingContext(
                 train=ratings,
-                leaders=LeaderTable(np.array([0]), np.array([0, 0, 0]), "stored"),
+                leaders=LeaderTable(np.array([0]), np.array([0, 0, 0])),
             ).validate()
 
 
@@ -179,7 +179,7 @@ class TestObjective:
 
     def test_own_leader_and_no_trust_add_nothing(self):
         ratings = one_rating(value=3.0)
-        leaders = LeaderTable(np.array([0]), np.array([0]), "stored")
+        leaders = LeaderTable(np.array([0]), np.array([0]))
         params = ModelParams(np.array([[1.0], [2.0]]), np.array([[0.5], [0.5]]), np.zeros(2))
         with_terms = objective(
             params,
@@ -313,7 +313,7 @@ class TestGradients:
         # every non-leader strictly closer to its leader
         ctx = TrainingContext(
             train=empty_ratings(4, 3),
-            leaders=LeaderTable(np.array([0, 2]), np.array([0, 0, 1, 1]), "stored"),
+            leaders=LeaderTable(np.array([0, 2]), np.array([0, 0, 1, 1])),
         )
         hp = plain_hp(k=3, lam_c=1.0)
         rng = np.random.default_rng(7)
