@@ -65,7 +65,7 @@ class AutoencoderConfig:
             raise ValueError("hidden_sizes must be symmetric around the code layer")
         if any(h <= 0 for h in self.hidden_sizes):
             raise ValueError("hidden layer widths must be positive")
-        if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs < 0:
+        if not self.learning_rate > 0 or self.batch_size <= 0 or self.epochs < 0:
             raise ValueError("learning_rate and batch_size must be positive, epochs nonnegative")
 
     @property

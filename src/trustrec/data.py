@@ -96,6 +96,19 @@ class RatingMatrix:
         self.items = np.asarray(self.items, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=np.float64)
 
+    @classmethod
+    def from_triples(cls, num_users, num_items, users, items, values, r_min=1.0, r_max=5.0):
+        """Matrix of the (user, item, value) triples, sorted by (user, item).
+
+        Items must lie in [0, num_items).  A repeated pair keeps the value it
+        was given last: one unique pass over the reversed keys finds it.
+        """
+        users = np.asarray(users, dtype=np.int64)
+        items = np.asarray(items, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        keys, last = np.unique((users * num_items + items)[::-1], return_index=True)
+        return cls(num_users, num_items, keys // num_items, keys % num_items, values[::-1][last], r_min, r_max)
+
     def validate(self):
         if len(self.users) != len(self.items) or len(self.users) != len(self.values):
             raise ValueError("entry arrays must have equal length")
@@ -225,7 +238,7 @@ def load_ratings(path, scale=(1.0, 5.0), user_map=None, item_map=None):
     r_min, r_max = float(scale[0]), float(scale[1])
     user_map = IdMap() if user_map is None else user_map
     item_map = IdMap() if item_map is None else item_map
-    entries = {}
+    users, items, values = [], [], []
     for line_no, fields in _records(path):
         if len(fields) != 3:
             raise DataFormatError(path, line_no, f"expected 'user,item,rating', got {len(fields)} fields")
@@ -235,19 +248,10 @@ def load_ratings(path, scale=(1.0, 5.0), user_map=None, item_map=None):
             raise DataFormatError(path, line_no, str(exc)) from None
         if not r_min <= value <= r_max:
             raise DataFormatError(path, line_no, f"rating {value} outside [{r_min}, {r_max}]")
-        entries[(user_map.add(ext_u), item_map.add(ext_i))] = value
-    return _matrix_from_entries(entries, len(user_map), len(item_map), r_min, r_max)
-
-
-def _matrix_from_entries(entries, num_users, num_items, r_min, r_max):
-    if entries:
-        keys = np.array(sorted(entries), dtype=np.int64)
-        users, items = keys[:, 0], keys[:, 1]
-        values = np.array([entries[(u, i)] for u, i in keys], dtype=np.float64)
-    else:
-        users = items = np.zeros(0, dtype=np.int64)
-        values = np.zeros(0, dtype=np.float64)
-    return RatingMatrix(num_users, num_items, users, items, values, r_min, r_max)
+        users.append(user_map.add(ext_u))
+        items.append(item_map.add(ext_i))
+        values.append(value)
+    return RatingMatrix.from_triples(len(user_map), len(item_map), users, items, values, r_min, r_max)
 
 
 def save_ratings(matrix, path, user_map, item_map):

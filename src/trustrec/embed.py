@@ -41,8 +41,8 @@ class WalkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.p <= 0 or self.q <= 0:
-            raise ValueError("p and q must be positive")
+        if not (self.p > 0 and self.q > 0 and self.learning_rate > 0):
+            raise ValueError("p, q and learning_rate must be positive")
         if self.dimensions <= 0 or self.num_walks <= 0 or self.walk_length <= 0:
             raise ValueError("dimensions, num_walks, walk_length must be positive")
         if self.window <= 0 or self.negatives <= 0 or self.epochs < 0:
@@ -86,31 +86,21 @@ def step_distribution(adjacency, prev, cur, p, q):
     return candidates, weights / weights.sum()
 
 
-def _lockstep_round(csr, edge_keys, starts, uniforms, cursor, length, p, q):
+def _lockstep_round(csr, edge_keys, starts, uniforms, length, p, q):
     """One walk from every start node, all advancing together.
 
-    Returns (walks, lengths): row w holds walk w in its first lengths[w]
-    columns.  ``cursor[w]`` indexes the next unused uniform in row w of
-    ``uniforms`` and moves on by one per step taken.
+    Row w of the result is the walk from ``starts[w]``; its step s reads
+    ``uniforms[w, s - 1]``.
     """
     indptr, indices, data = csr
     n = len(indptr) - 1
     walks = np.empty((len(starts), length), dtype=np.int64)
     walks[:, 0] = starts
-    lengths = np.ones(len(starts), dtype=np.int64)
-    live = np.arange(len(starts))
     prev = None
     cur = starts
     for step in range(1, length):
         degrees = indptr[cur + 1] - indptr[cur]
-        moving = degrees > 0  # a dead end stops its walk without a draw
-        live, cur, degrees = live[moving], cur[moving], degrees[moving]
-        if prev is not None:
-            prev = prev[moving]
-        if len(live) == 0:
-            break
-        u = uniforms[live, cursor[live]]
-        cursor[live] += 1
+        u = uniforms[:, step - 1]
         nxt = np.empty_like(cur)
         # Walkers at nodes of equal degree d form a (count, d) block whose
         # row sums, cumulative sums and comparisons reproduce the per-row
@@ -132,28 +122,27 @@ def _lockstep_round(csr, edge_keys, starts, uniforms, cursor, length, p, q):
             cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
             pick = np.minimum((u[group][:, None] >= cdf).sum(axis=1), d - 1)
             nxt[group] = candidates[np.arange(len(group)), pick]
-        walks[live, step] = nxt
-        lengths[live] += 1
+        walks[:, step] = nxt
         prev, cur = cur, nxt
-    return walks, lengths
+    return walks
 
 
 def generate_walks(graph_or_adjacency, config, nodes=None):
-    """All biased walks for the graph, grouped per start node.
+    """All biased walks for the graph, as one int64 array of walk_length columns.
 
     Every start node with at least one neighbor gets ``num_walks`` walks of
-    up to ``walk_length`` nodes; isolated nodes yield no walks.  A walk ends
-    early only at a node with no out-edges, which the symmetrized graph of a
-    TrustGraph never has but a directed adjacency passed in may.
+    ``walk_length`` nodes; isolated nodes yield no walks.  Walks run on an
+    undirected graph, where every neighbor has an out-edge and no walk can
+    stop early; an adjacency with an edge into a node without out-edges
+    raises ValueError.
 
     The walks run in ``num_walks`` rounds; within a round the walks of all
-    start nodes advance in lockstep, one vectorized step per position.  Start
-    node s draws one uniform from ``default_rng([seed, s])`` per step it
-    actually takes, and its next walk goes on from where the last one stopped
-    in that stream.  So the walks are, bit for bit, those of a per-node,
-    per-step loop over ``step_distribution``, and do not depend on the order
-    of ``nodes``.  The result lists each start node's ``num_walks`` walks
-    together, in ``nodes`` order, as int64 views into the rounds' arrays.
+    start nodes advance in lockstep, one vectorized step per position.  Step
+    s of round r reads uniform r·(walk_length - 1) + s - 1 of the start
+    node's ``default_rng([seed, node])`` stream.  So the walks are, bit for
+    bit, those of a per-node, per-step loop over ``step_distribution``, and
+    do not depend on the order of ``nodes``.  Row j·num_walks + r holds round
+    r's walk from the j-th start node, in ``nodes`` order.
     """
     from scipy import sparse
     if sparse.issparse(graph_or_adjacency):
@@ -164,20 +153,23 @@ def generate_walks(graph_or_adjacency, config, nodes=None):
     indptr = adjacency.indptr.astype(np.int64)
     csr = (indptr, adjacency.indices.astype(np.int64), adjacency.data.astype(np.float64))
     degrees = np.diff(indptr)
+    if np.any(degrees[csr[1]] == 0):
+        raise ValueError("an edge points at a node with no out-edge; walks need an undirected graph")
     # sorted row*n + col keys answer "is x a neighbor of prev" by bisection
     edge_keys = np.sort(np.repeat(np.arange(n, dtype=np.int64), degrees) * n + csr[1])
     starts = np.arange(n) if nodes is None else np.asarray(list(nodes), dtype=np.int64)
     starts = starts[degrees[starts] > 0]
-    draws = config.num_walks * (config.walk_length - 1)
-    uniforms = np.empty((len(starts), draws))
+    if len(starts) == 0:
+        return np.empty((0, config.walk_length), dtype=np.int64)
+    steps = config.walk_length - 1
+    uniforms = np.empty((len(starts), config.num_walks * steps))
     for row, s in enumerate(starts):
-        uniforms[row] = np.random.default_rng([config.seed, int(s)]).random(draws)
-    cursor = np.zeros(len(starts), dtype=np.int64)
+        uniforms[row] = np.random.default_rng([config.seed, int(s)]).random(uniforms.shape[1])
     rounds = [
-        _lockstep_round(csr, edge_keys, starts, uniforms, cursor, config.walk_length, config.p, config.q)
-        for _ in range(config.num_walks)
+        _lockstep_round(csr, edge_keys, starts, uniforms[:, r * steps :], config.walk_length, config.p, config.q)
+        for r in range(config.num_walks)
     ]
-    return [walks[row, : lengths[row]] for row in range(len(starts)) for walks, lengths in rounds]
+    return np.stack(rounds, axis=1).reshape(-1, config.walk_length)
 
 
 def _inverse_cdf(cdf):

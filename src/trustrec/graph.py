@@ -151,14 +151,18 @@ def _aggregate(adjacency, labels):
     return agg
 
 
-def pagerank(adjacency, damping=0.85, tol=1e-10, max_iter=1000):
+def pagerank(adjacency, damping=0.85, tol=1e-10, max_iter=None):
     """Power iteration PageRank on a directed weighted adjacency.
 
     Out-transition probabilities are proportional to edge weights; the mass of
     nodes with no out-edges is spread uniformly.  Iteration stops when the L1
-    change drops below ``tol``.
+    change drops below ``tol``.  Step t changes the scores by at most
+    2·damping^t in L1, so by default the budget is the first step past a
+    positive ``tol``: 2 + floor(log(tol/2) / log(damping)), or 2 at damping 0.
     """
     from scipy import sparse
+    if max_iter is None:
+        max_iter = 2 + (int(np.log(tol / 2) / np.log(damping)) if damping > 0 else 0)
     adjacency = sparse.csr_matrix(adjacency)
     n = adjacency.shape[0]
     if n == 0:

@@ -75,10 +75,10 @@ class HyperParams:
     def __post_init__(self):
         if self.k <= 0:
             raise ValueError("k must be positive")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         for name in ("lam_p", "lam_q", "lam_w", "lam_t", "lam_c"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")

@@ -91,20 +91,16 @@ def social_bundle(
     lo_cnt, hi_cnt = ratings_per_user
     counts = rng.integers(lo_cnt, hi_cnt + 1, size=num_users)
     counts[hubs] = hi_cnt
-    entries = {}
-    for u in range(num_users):
-        items = rng.choice(num_items, size=min(counts[u], num_items), replace=False)
-        noisy = raw[u, items] + rng.normal(0.0, rating_noise, size=len(items))
-        vals = np.clip(1.0 + 4.0 * (noisy - lo) / span, 1.0, 5.0)
-        for i, v in zip(items, vals):
-            entries[(u, int(i))] = float(v)
-    keys = np.array(sorted(entries), dtype=np.int64)
-    ratings = RatingMatrix(
-        num_users,
-        num_items,
-        keys[:, 0],
-        keys[:, 1],
-        np.array([entries[(u, i)] for u, i in keys]),
+    sizes = np.minimum(counts, num_items)
+    items, values = [], []
+    for u, size in enumerate(sizes):
+        chosen = rng.choice(num_items, size=size, replace=False)
+        noisy = raw[u, chosen] + rng.normal(0.0, rating_noise, size=size)
+        items.append(chosen)
+        values.append(np.clip(1.0 + 4.0 * (noisy - lo) / span, 1.0, 5.0))
+    users = np.repeat(np.arange(num_users), sizes)
+    ratings = RatingMatrix.from_triples(
+        num_users, num_items, users, np.concatenate(items), np.concatenate(values)
     ).validate()
 
     edges = []

@@ -8,6 +8,7 @@ import numpy as np
 from scipy import sparse
 
 from trustrec.autoencoder import init_autoencoder, selu, selu_grad
+from trustrec.data import RatingMatrix
 from trustrec.embed import step_distribution
 from trustrec.graph import PropagatedTrust
 
@@ -187,6 +188,25 @@ def dict_propagate_trust(graph, decay=0.8, max_depth=3):
         trustee.extend(row)
         values.extend(row.values())
     return PropagatedTrust(truster, trustee, values, graph.num_users)
+
+
+def dict_rating_matrix(num_users, num_items, users, items, values, r_min=1.0, r_max=5.0):
+    """The dict fill and key sort that RatingMatrix.from_triples replaced.
+
+    Kept verbatim as the reference for its entry order and its rule that a
+    repeated (user, item) pair keeps its last value.
+    """
+    entries = {}
+    for u, i, value in zip(users, items, values):
+        entries[(u, i)] = value
+    if entries:
+        keys = np.array(sorted(entries), dtype=np.int64)
+        users, items = keys[:, 0], keys[:, 1]
+        values = np.array([entries[(u, i)] for u, i in keys], dtype=np.float64)
+    else:
+        users = items = np.zeros(0, dtype=np.int64)
+        values = np.zeros(0, dtype=np.float64)
+    return RatingMatrix(num_users, num_items, users, items, values, r_min, r_max)
 
 
 class DictTrustGraph:

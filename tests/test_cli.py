@@ -14,6 +14,7 @@ import pytest
 
 import trustrec
 from trustrec import cli
+from trustrec import graph as graph_module
 from trustrec.cli import (
     DEFAULTS,
     ConfigError,
@@ -43,6 +44,16 @@ model.k = 3
 model.learning_rate = 0.02
 model.epochs = 5
 """
+
+# settings whose check must reject NaN, which fails every comparison
+_NAN_KEYS = (
+    "model.learning_rate",
+    *(f"model.lam_{t}" for t in "pqwtc"),
+    "autoencoder.learning_rate",
+    "walks.p",
+    "walks.q",
+    "walks.learning_rate",
+)
 
 # one key per section that a train stage reads: (a new value, that stage)
 STAGE_OF_CHANGE = {
@@ -134,7 +145,9 @@ class TestConfigParsing:
             ("graph.max_depth", "0"),
             ("graph.damping", "1.5"),
             ("graph.damping", "-0.1"),
+            ("walks.learning_rate", "0"),
             *((key, "-1") for key in _SEED_KEYS),
+            *((key, "nan") for key in _NAN_KEYS),
         ):
             with pytest.raises(ConfigError):
                 build_config({key: value})
@@ -376,6 +389,12 @@ class TestPipeline:
         assert "scipy.sparse" in ablate
         assert not special(ablate)
 
+    def test_package_import_loads_no_submodule(self):
+        probe = "import json, sys, trustrec\nprint(json.dumps(sorted(m for m in sys.modules if 'trustrec' in m)))\n"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(trustrec.__file__)))
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+        assert json.loads(done.stdout) == ["trustrec"]
+
     def test_changed_source_misses_the_stage_cache(self, workspace):
         tmp_path, config_path = workspace
         config = config_path()
@@ -472,16 +491,29 @@ class TestPipeline:
         with np.errstate(all="ignore"):
             assert self.run(config, "train") == 3
 
-    def test_unconverged_centrality_exits_3(self, tmp_path, capsys):
+    def toy_config(self, tmp_path, extra=""):
         ratings, trust = tmp_path / "ratings.txt", tmp_path / "trust.txt"
         write_bundle(toy_bundle(0), ratings, trust)
         config = tmp_path / "config.txt"
         text = BASE_CONFIG.format(ratings=ratings, trust=trust, work=tmp_path / "work")
-        config.write_text(text + "graph.damping = 0.99\n")
-        assert self.run(str(config), "prepare") == 0
+        config.write_text(text + extra)
+        return str(config)
+
+    def test_unconverged_centrality_exits_3(self, tmp_path, capsys, monkeypatch):
+        def unconverged(adjacency, **kwargs):
+            raise RuntimeError("pagerank did not converge in 0 iterations")
+
+        monkeypatch.setitem(graph_module.CENTRALITY_METHODS, "pagerank", unconverged)
+        config = self.toy_config(tmp_path)
+        assert self.run(config, "prepare") == 0
         capsys.readouterr()
-        assert self.run(str(config), "train") == 3
+        assert self.run(config, "train") == 3
         assert "pagerank did not converge" in capsys.readouterr().err
+
+    def test_damping_near_one_trains(self, tmp_path):
+        config = self.toy_config(tmp_path, "graph.damping = 0.99\n")
+        assert self.run(config, "prepare") == 0
+        assert self.run(config, "train") == 0
 
     def test_bad_setting_exits_2_before_any_stage(self, workspace, capsys):
         tmp_path, config_path = workspace

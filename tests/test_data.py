@@ -18,7 +18,7 @@ from trustrec.data import (
     subsample_top_trust_users,
 )
 
-from oracles import DictTrustGraph
+from oracles import DictTrustGraph, dict_rating_matrix
 
 
 class TestLoadRatings:
@@ -84,6 +84,51 @@ class TestLoadRatings:
         assert user_map.index_of(8) == 1
         assert item_map.index_of(7) == 0
         assert item_map.index_of(9) == 1
+
+
+class TestRatingMatrixOracle:
+    """RatingMatrix.from_triples against the dict fill it replaced."""
+
+    @staticmethod
+    def random_triples(rng, num_users, num_items, count):
+        """Unsorted triples in which about a third repeat an earlier pair with a new value."""
+        users, items = [], []
+        for _ in range(count):
+            if users and rng.random() < 0.3:
+                j = int(rng.integers(len(users)))
+                users.append(users[j])
+                items.append(items[j])
+            else:
+                users.append(int(rng.integers(num_users)))
+                items.append(int(rng.integers(num_items)))
+        return users, items, rng.uniform(1.0, 5.0, size=count).tolist()
+
+    @staticmethod
+    def assert_same(got, want):
+        assert (got.num_users, got.num_items, got.r_min, got.r_max) == (
+            want.num_users, want.num_items, want.r_min, want.r_max,
+        )
+        for field in ("users", "items"):
+            assert getattr(got, field).dtype == np.int64
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+
+    def test_matches_the_dict_fill(self):
+        rng = np.random.default_rng(0)
+        for case in range(50):
+            num_users, num_items = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+            if case % 10 == 0:
+                num_items = 1
+            triples = self.random_triples(rng, num_users, num_items, int(rng.integers(0, 60)))
+            got = RatingMatrix.from_triples(num_users, num_items, *triples, r_min=0.5, r_max=5.5)
+            self.assert_same(got, dict_rating_matrix(num_users, num_items, *triples, r_min=0.5, r_max=5.5))
+
+    def test_empty_and_repeated(self):
+        self.assert_same(RatingMatrix.from_triples(3, 4, [], [], []), dict_rating_matrix(3, 4, [], [], []))
+        triples = ([2, 0, 2, 0], [1, 3, 1, 3], [4.0, 2.0, 1.5, 3.0])
+        got = RatingMatrix.from_triples(3, 4, *triples)
+        self.assert_same(got, dict_rating_matrix(3, 4, *triples))
+        assert (got.users.tolist(), got.items.tolist(), got.values.tolist()) == ([0, 2], [3, 1], [3.0, 1.5])
 
 
 class TestIdMap:

@@ -105,6 +105,14 @@ class TestGenerateWalks:
         assert len(walks) == 20
         assert all(w.dtype == np.int64 and w.base is not None for w in walks)
 
+    @pytest.mark.parametrize("graph, starts", [(barbell_graph(), 10), (TrustGraph(5), 0)])
+    def test_one_fixed_length_array_grouped_per_start(self, graph, starts):
+        config = WalkConfig(dimensions=2, num_walks=3, walk_length=6, seed=1)
+        walks = generate_walks(graph, config)
+        assert walks.dtype == np.int64
+        assert walks.shape == (starts * 3, 6)
+        assert walks[:, 0].tolist() == [node for node in range(starts) for _ in range(3)]
+
     def test_two_node_graph_alternates(self):
         g = TrustGraph.from_edges(2, [(0, 1, 1.0)])
         config = WalkConfig(dimensions=2, num_walks=1, walk_length=4, seed=0)
@@ -182,11 +190,9 @@ class TestWalkOracle:
         assert walks_as_lists(adj, config) == reference_walks(adj, config)
 
     def test_directed_dead_end(self):
-        adj = dead_end_graph()
         config = WalkConfig(dimensions=2, num_walks=3, walk_length=8, p=0.5, q=2.0, seed=3)
-        walks = walks_as_lists(adj, config)
-        assert walks[:2] == [[0, 1, 2, 0, 3], [0, 1, 2, 0, 1, 2, 0, 1]]
-        assert walks == reference_walks(adj, config)
+        with pytest.raises(ValueError, match="no out-edge"):
+            generate_walks(dead_end_graph(), config)
 
     def test_shuffled_node_subset(self):
         adj = weighted_graph(seed=1)
