@@ -30,7 +30,7 @@ table = node_embeddings(graph, config)
 intra, inter = [], []
 for a in range(10):
     for b in range(a + 1, 10):
-        value = cosine_similarity(table.vectors[a], table.vectors[b])
+        value = cosine_similarity(table[a], table[b])
         (intra if (a < 5) == (b < 5) else inter).append(value)
 print(f"mean cosine within a clique  {np.mean(intra):+.3f}")
 print(f"mean cosine across the bridge {np.mean(inter):+.3f}")

@@ -38,7 +38,7 @@ from .data import (
     split,
     global_mean,
 )
-from .embed import EmbeddingTable, WalkConfig, node_embeddings
+from .embed import WalkConfig, node_embeddings
 from .graph import (
     CENTRALITY_METHODS,
     LeaderTable,
@@ -48,11 +48,11 @@ from .graph import (
     propagate_trust,
 )
 from .model import HyperParams, TrainingContext, load_params, save_params, train
-from .serialize import CheckpointError, load_checkpoint, save_checkpoint
+from .serialize import CheckpointError, load_checkpoint, replace_on_success, save_checkpoint
 
 
 class ConfigError(ValueError):
-    """Bad config file: unknown key, unparsable value, or missing path."""
+    """Bad config file (unknown key, unparsable value, missing path) or unusable input."""
 
 
 class NumericError(ArithmeticError):
@@ -217,15 +217,6 @@ def _hash_file(path):
     return digest.hexdigest()
 
 
-def _render(values, prefixes):
-    """Canonical text of the config keys under the given prefixes."""
-    lines = []
-    for key in sorted(values):
-        if any(key.startswith(p + ".") for p in prefixes):
-            lines.append(f"{key} = {values[key]!r}")
-    return "\n".join(lines)
-
-
 def _run_stage(work, stage, key, produce):
     """Folder ``work/<stage>-<key>``, made by ``produce(folder)`` unless it exists.
 
@@ -241,10 +232,8 @@ def _run_stage(work, stage, key, produce):
         os.makedirs(tmp)
         produce(tmp)
         os.replace(tmp, out)
-    pointer = os.path.join(work, f"{stage}.current")
-    with open(pointer + ".tmp", "w") as fh:
+    with replace_on_success(os.path.join(work, f"{stage}.current")) as fh:
         fh.write(key + "\n")
-    os.replace(pointer + ".tmp", pointer)
     return out
 
 
@@ -286,7 +275,7 @@ class _WorkLock:
         return False
 
 
-def cmd_prepare(config, values):
+def cmd_prepare(config):
     """Split the ratings, share the user index with the trust graph, cache both."""
     for path in (config.ratings_path, config.trust_path):
         if not path or not os.path.exists(path):
@@ -297,7 +286,11 @@ def cmd_prepare(config, values):
         ratings = load_ratings(config.ratings_path, config.scale, user_map, item_map)
         trust = load_trust(config.trust_path, user_map)
         ratings = ratings.with_num_users(len(user_map))
+        if len(ratings) == 0:
+            raise ConfigError(f"no ratings in {config.ratings_path!r}")
         train_split, test_split = split(ratings, config.split)
+        if not (len(train_split) and len(test_split)):
+            raise ConfigError(f"the split leaves {len(train_split)} train and {len(test_split)} test ratings")
         save_ratings(train_split, os.path.join(out, "train.txt"), user_map, item_map)
         save_ratings(test_split, os.path.join(out, "test.txt"), user_map, item_map)
         user_map.save(os.path.join(out, "user_map.txt"))
@@ -310,11 +303,7 @@ def cmd_prepare(config, values):
         meta = {"num_users": ratings.num_users, "num_items": ratings.num_items}
         save_checkpoint(os.path.join(out, "split.ckpt"), "split", arrays, meta)
 
-    key = _stage_key(
-        _render(values, ("data", "split")),
-        _hash_file(config.ratings_path),
-        _hash_file(config.trust_path),
-    )
+    key = _stage_key(config.scale, config.split, _hash_file(config.ratings_path), _hash_file(config.trust_path))
     return _run_stage(config.work_dir, "prepare", key, produce)
 
 
@@ -345,7 +334,7 @@ def _check_finite(name, *arrays):
 
 def _load_embeddings(work):
     _, arrays, _ = load_checkpoint(_current_stage(work, "embed", "embeddings.ckpt"), expect_kind="embeddings")
-    return EmbeddingTable(arrays["vectors"])
+    return arrays["vectors"]
 
 
 def _load_context(config, train_split):
@@ -364,7 +353,7 @@ def _load_context(config, train_split):
     return ctx, (codes["init_P"], codes["init_Q"])
 
 
-def cmd_train(config, values):
+def cmd_train(config):
     """Autoencoders, graph analysis, embeddings, then factor-model SGD."""
     work = config.work_dir
     prep_key = os.path.basename(_current_stage(work, "prepare")).split("-", 1)[1]
@@ -381,7 +370,7 @@ def cmd_train(config, values):
         _check_finite("autoencoder codes", init_p, init_q)
         save_checkpoint(os.path.join(out, "codes.ckpt"), "ae-codes", {"init_P": init_p, "init_Q": init_q})
 
-    ae_key = _stage_key(_render(values, ("autoencoder",)), values["model.k"], prep_key)
+    ae_key = _stage_key(config.autoencoder, config.model.k, prep_key)
     ae_path = os.path.join(_run_stage(work, "autoencoder", ae_key, autoencoder), "codes.ckpt")
 
     def graph(out):
@@ -406,16 +395,16 @@ def cmd_train(config, values):
             {"num_communities": communities.num_communities, "num_users": trust.num_users},
         )
 
-    graph_key = _stage_key(_render(values, ("graph",)), prep_key)
+    graph_key = _stage_key(config.graph, prep_key)
     graph_path = os.path.join(_run_stage(work, "graph", graph_key, graph), "graph.ckpt")
 
     def embed(out):
         _, _, trust = prepared()
-        table = node_embeddings(trust, config.walks)
-        _check_finite("embeddings", table.vectors)
-        save_checkpoint(os.path.join(out, "embeddings.ckpt"), "embeddings", {"vectors": table.vectors})
+        vectors = node_embeddings(trust, config.walks)
+        _check_finite("embeddings", vectors)
+        save_checkpoint(os.path.join(out, "embeddings.ckpt"), "embeddings", {"vectors": vectors})
 
-    embed_key = _stage_key(_render(values, ("walks",)), prep_key)
+    embed_key = _stage_key(config.walks, prep_key)
     embed_path = os.path.join(_run_stage(work, "embed", embed_key, embed), "embeddings.ckpt")
 
     def model(out):
@@ -428,16 +417,11 @@ def cmd_train(config, values):
             for value in history:
                 fh.write(f"{value!r}\n")
 
-    key = _stage_key(
-        _render(values, ("model",)),
-        _hash_file(ae_path),
-        _hash_file(graph_path),
-        _hash_file(embed_path),
-    )
+    key = _stage_key(config.model, _hash_file(ae_path), _hash_file(graph_path), _hash_file(embed_path))
     return os.path.join(_run_stage(work, "train", key, model), "model.ckpt")
 
 
-def cmd_evaluate(config, values, ablate=False, baseline_mean=False):
+def cmd_evaluate(config, ablate=False, baseline_mean=False):
     """Score the trained checkpoint on the cached test split; write report.txt.
 
     The ladder reads propagated trust from ``graph.ckpt``, not ``trust.txt``.
@@ -497,8 +481,7 @@ def main(argv=None):
         if args.command == "report":
             work = args.work
             if work is None and args.config:
-                _, values = build_config(parse_config_file(args.config), args.seed, args.work)
-                work = values["paths.work"]
+                work = build_config(parse_config_file(args.config), args.seed, args.work)[0].work_dir
             if work is None:
                 print("report needs --work or --config", file=sys.stderr)
                 return 2
@@ -507,15 +490,15 @@ def main(argv=None):
         if not args.config:
             print(f"{args.command} needs --config", file=sys.stderr)
             return 2
-        config, values = build_config(parse_config_file(args.config), args.seed, args.work)
+        config, _ = build_config(parse_config_file(args.config), args.seed, args.work)
         os.makedirs(config.work_dir, exist_ok=True)
         with _WorkLock(config.work_dir):
             if args.command == "prepare":
-                cmd_prepare(config, values)
+                cmd_prepare(config)
             elif args.command == "train":
-                cmd_train(config, values)
+                cmd_train(config)
             elif args.command == "evaluate":
-                cmd_evaluate(config, values, ablate=args.ablate, baseline_mean=args.baseline_mean)
+                cmd_evaluate(config, ablate=args.ablate, baseline_mean=args.baseline_mean)
     except (ConfigError, DataFormatError, CheckpointError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,10 +10,11 @@ step; ``generate_walks`` samples it for all walkers at once, advancing every
 start node's walk in lockstep over the shared CSR arrays, and draws exactly
 the walks a per-step loop over ``step_distribution`` would.
 
-The skip-gram trains input vectors against context vectors with negative
-sampling from the 3/4-power unigram distribution over walk occurrences, in
-window batches (HogBatch, Ji et al. 2016): a walk position trains its whole
-window against its own node and one shared negative set.
+The skip-gram reads that walk array in place and trains input vectors
+against context vectors with negative sampling from the 3/4-power unigram
+distribution over walk occurrences, in window batches (HogBatch, Ji et al.
+2016): a walk position trains its whole window against its own node and one
+shared negative set.  The embeddings are one (num_nodes, dimensions) array.
 """
 
 from dataclasses import dataclass
@@ -47,21 +48,6 @@ class WalkConfig:
             raise ValueError("dimensions, num_walks, walk_length must be positive")
         if self.window <= 0 or self.negatives <= 0 or self.epochs < 0:
             raise ValueError("window and negatives must be positive, epochs nonnegative")
-
-
-@dataclass
-class EmbeddingTable:
-    """Learned input vectors, one row per node."""
-
-    vectors: np.ndarray
-
-    @property
-    def num_nodes(self):
-        return self.vectors.shape[0]
-
-    @property
-    def dimensions(self):
-        return self.vectors.shape[1]
 
 
 def step_distribution(adjacency, prev, cur, p, q):
@@ -230,33 +216,37 @@ def _window_step(inputs, contexts, window, mask, outputs, lr):
 def train_embeddings(walks, num_nodes, config):
     """Skip-gram with negative sampling over the walk corpus, in window batches.
 
-    Input vectors start uniform in [-0.5/d, 0.5/d], context vectors at zero.
-    The walks become one token array.  Each epoch shuffles the token
+    ``walks`` holds one walk per row, as ``generate_walks`` returns them (a
+    list of equal-length walks also works; a ragged or not 2-D one raises
+    ValueError).  Its flat view is the token array: position ``at`` is step
+    ``at % walk_length`` of its walk.  Input vectors start uniform in
+    [-0.5/d, 0.5/d], context vectors at zero.  Each epoch shuffles the token
     positions; a batch of ``cap // (2·window)`` positions covers about
     ``cap`` pairs, ``cap`` being ``batch_size`` capped by the visited nodes.
     A position trains the nodes within ``window`` steps of it in its walk
     against its own node and K negatives from the 3/4-power unigram law,
     drawn once for the window.  So an epoch trains the walks' symmetric
     (center, context) pair set, each pair against a K-sample negative
-    estimate, in memory linear in the tokens.  The learning rate decays
-    linearly to a tenth of its start over all batches.  Fixed seed in,
-    identical table out; nodes in no walk come back as zero vectors.
+    estimate; the shuffled order is the only per-token working array.  The
+    learning rate decays linearly to a tenth of its start over all batches.
+    Returns the (num_nodes, d) input vectors: fixed seed in, identical array
+    out; nodes in no walk get zero rows.
     """
+    walks = np.asarray(walks, dtype=np.int64)  # a ragged list raises ValueError here
+    if walks.ndim != 2:
+        raise ValueError(f"walks must be a 2-D array of walks, got {walks.ndim} dimensions")
     d, w = config.dimensions, config.window
     rng = np.random.default_rng(config.seed)
     inputs = rng.uniform(-0.5 / d, 0.5 / d, size=(num_nodes, d))
     contexts = np.zeros((num_nodes, d))
 
-    lengths = np.array([len(walk) for walk in walks], dtype=np.int64)
-    tokens = np.concatenate([np.zeros(0, dtype=np.int64), *walks])  # the empty head admits an empty walk list
+    tokens = walks.ravel()
+    length = walks.shape[1]
     counts = np.bincount(tokens, minlength=num_nodes).astype(np.float64)
     if len(tokens) == 0:
-        return EmbeddingTable(np.zeros((num_nodes, d)))
+        return np.zeros((num_nodes, d))
     draw_negatives = _inverse_cdf(_noise_cdf(counts))
 
-    # each token's walk as the half-open range [first, end) of token positions
-    end = np.repeat(np.cumsum(lengths), lengths)
-    first = end - np.repeat(lengths, lengths)
     offsets = np.concatenate([np.arange(-w, 0), np.arange(1, w + 1)])
     # A batch much larger than the vocabulary piles many accumulated updates
     # onto the same rows in one step and can diverge; cap it accordingly.
@@ -269,18 +259,19 @@ def train_embeddings(walks, num_nodes, config):
             at = order[start : start + span]
             lr = config.learning_rate * (1.0 - 0.9 * batch_idx / max(total_batches - 1, 1))
             batch_idx += 1
-            near = at[:, None] + offsets
-            mask = (near >= first[at, None]) & (near < end[at, None])
-            window = tokens[np.where(mask, near, at[:, None])]
+            # a slot is in the walk iff its step stays inside [0, walk_length)
+            step = (at % length)[:, None] + offsets
+            mask = (step >= 0) & (step < length)
+            window = tokens[np.where(mask, at[:, None] + offsets, at[:, None])]
             negatives = draw_negatives(rng.random((len(at), config.negatives)))
             outputs = np.column_stack([tokens[at], negatives])
             _window_step(inputs, contexts, window, mask, outputs, lr)
     inputs[counts == 0] = 0.0
-    return EmbeddingTable(inputs)
+    return inputs
 
 
 def node_embeddings(graph, config):
-    """Walks plus skip-gram in one call; rows of the result align with users."""
+    """Walks plus skip-gram in one call: an (num_users, dimensions) array."""
     walks = generate_walks(graph, config)
     return train_embeddings(walks, graph.num_users, config)
 

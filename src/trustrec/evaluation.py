@@ -5,7 +5,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autoencoder as ae
+from .data import DataFormatError
 from .model import init_params, predict, train
+from .serialize import replace_on_success
 
 
 def rmse(pairs):
@@ -120,12 +122,24 @@ def run_ablations(ctx, hp, test, ae_init=None, full_params=None):
 
 
 def write_reports(reports, path):
-    """One tab-separated record per line: tag, rmse, N, seed."""
-    with open(path, "w") as fh:
+    """One tab-separated record per line: tag, rmse, N, seed.
+
+    The file is replaced only once complete, so an interrupted write leaves
+    the previous report in place.
+    """
+    with replace_on_success(path) as fh:
         for report in reports:
             fh.write(report.line() + "\n")
 
 
 def read_reports(path):
+    """Reports from ``write_reports``' file; a malformed record raises DataFormatError."""
+    reports = []
     with open(path) as fh:
-        return [EvalReport.from_line(line) for line in fh if line.strip()]
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    reports.append(EvalReport.from_line(line))
+                except ValueError:
+                    raise DataFormatError(path, line_no, "expected tag, rmse, count and seed") from None
+    return reports

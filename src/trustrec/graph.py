@@ -161,6 +161,8 @@ def pagerank(adjacency, damping=0.85, tol=1e-10, max_iter=None):
     positive ``tol``: 2 + floor(log(tol/2) / log(damping)), or 2 at damping 0.
     """
     from scipy import sparse
+    if not 0 <= damping < 1:
+        raise ValueError("damping must lie in [0, 1)")
     if max_iter is None:
         max_iter = 2 + (int(np.log(tol / 2) / np.log(damping)) if damping > 0 else 0)
     adjacency = sparse.csr_matrix(adjacency)

@@ -88,6 +88,7 @@ class HyperParams:
 class TrainingContext:
     """Everything training needs besides the parameters themselves.
 
+    ``embeddings`` is an (num_users, k) array of node embeddings.
     ``trust``, ``embeddings`` and ``leaders`` may each be None, which disables
     the corresponding objective term; this is how the ablation variants are
     expressed.
@@ -95,14 +96,14 @@ class TrainingContext:
 
     train: "RatingMatrix"
     trust: "PropagatedTrust" = None
-    embeddings: "EmbeddingTable" = None
+    embeddings: np.ndarray = None
     leaders: "LeaderTable" = None
 
     def validate(self):
         m = self.train.num_users
         if self.trust is not None and self.trust.num_users != m:
             raise ValueError("trust and ratings disagree on the user count")
-        if self.embeddings is not None and self.embeddings.num_nodes != m:
+        if self.embeddings is not None and self.embeddings.shape[0] != m:
             raise ValueError("embeddings and ratings disagree on the user count")
         if self.leaders is not None and len(self.leaders.labels) != m:
             raise ValueError("leaders and ratings disagree on the user count")
@@ -119,9 +120,9 @@ class _Tables:
         self.inv_item = 1.0 / np.maximum(train.item_counts(), 1)
 
         if ctx.embeddings is not None:
-            if ctx.embeddings.dimensions != k:
+            if ctx.embeddings.shape[1] != k:
                 raise ValueError("embedding dimension must equal k")
-            self.X = np.asarray(ctx.embeddings.vectors, dtype=np.float64)
+            self.X = np.asarray(ctx.embeddings, dtype=np.float64)
         else:
             self.X = np.zeros((m, k))
 
@@ -170,8 +171,9 @@ def predict(params, embeddings, users, items):
     """Raw predicted ratings (P_u + W ⊙ X_u)ᵀ Q_i for parallel index arrays.
 
     Not clamped to the scale: clamping belongs to evaluation, and training
-    needs the raw value.  With no embedding table the prediction reduces to
-    P_uᵀQ_i.  A user or item outside the parameters' shapes raises IndexError.
+    needs the raw value.  ``embeddings`` is an (num_users, k) array or None;
+    with None the prediction reduces to P_uᵀQ_i.  A user or item outside the
+    parameters' shapes raises IndexError.
     """
     users, items = np.asarray(users, dtype=np.intp), np.asarray(items, dtype=np.intp)
     for index, bound, what in ((users, params.num_users, "user"), (items, params.num_items, "item")):
@@ -179,7 +181,7 @@ def predict(params, embeddings, users, items):
             raise IndexError(f"{what} index out of range [0, {bound})")
     a = params.P[:, users]
     if embeddings is not None:
-        a = a + params.W[:, None] * embeddings.vectors[users].T
+        a = a + params.W[:, None] * embeddings[users].T
     return (a * params.Q[:, items]).sum(axis=0)
 
 

@@ -51,19 +51,23 @@ def _read_exact(fh, n):
 
 
 def save_checkpoint(path, kind, arrays, meta=None):
-    """Write named float arrays plus integer metadata under a kind tag.
+    """Write ``arrays`` (name -> array-like, stored as float64) and ``meta``
+    (name -> int) under the short ASCII tag ``kind``."""
+    with replace_on_success(path, "wb") as fh:
+        _write_body(fh, kind, arrays, meta or {})
 
-    Args:
-        path: destination file.
-        kind: short ASCII tag identifying the artifact type.
-        arrays: dict of name -> array-like, converted to float64.
-        meta: optional dict of name -> int.
+
+@contextlib.contextmanager
+def replace_on_success(path, mode="w"):
+    """File handle on ``<path>.<pid>.tmp``, renamed onto ``path`` once the block succeeds.
+
+    If the block raises, the temporary file is removed and ``path`` keeps
+    whatever it held before.
     """
-    meta = meta or {}
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            _write_body(fh, kind, arrays, meta)
+        with open(tmp, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trustrec.data import RatingMatrix, TrustGraph, split, SplitSpec
-from trustrec.embed import EmbeddingTable, WalkConfig, node_embeddings
+from trustrec.embed import WalkConfig, node_embeddings
 from trustrec.graph import (
     LeaderTable,
     PropagatedTrust,
@@ -76,7 +76,7 @@ def make_context():
 
         embeddings = None
         if with_embeddings:
-            embeddings = EmbeddingTable(rng.normal(0.0, 0.3, size=(m, k)))
+            embeddings = rng.normal(0.0, 0.3, size=(m, k))
 
         return TrainingContext(
             train=ratings, trust=trust, embeddings=embeddings, leaders=leaders

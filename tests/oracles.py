@@ -428,7 +428,7 @@ def reference_sgd_epoch(params, ctx, hp, rng=None):
     users, items, values = train.users, train.items, train.values
     inv_u = 1.0 / np.maximum(train.user_counts(), 1)
     inv_i = 1.0 / np.maximum(train.item_counts(), 1)
-    X = ctx.embeddings.vectors if ctx.embeddings is not None else np.zeros((m, hp.k))
+    X = ctx.embeddings if ctx.embeddings is not None else np.zeros((m, hp.k))
 
     # trust partners of u over both directions, each with its pair's value
     partners = [[] for _ in range(m)]

@@ -298,7 +298,7 @@ def test_criterion_4_walk_statistics_and_barbell():
         intra, inter = [], []
         for a in range(10):
             for b in range(a + 1, 10):
-                value = cosine_similarity(table.vectors[a], table.vectors[b])
+                value = cosine_similarity(table[a], table[b])
                 (intra if (a < 5) == (b < 5) else inter).append(value)
         hits += float(np.mean(intra)) > float(np.mean(inter))
     barbell_ok = hits >= 9

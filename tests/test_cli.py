@@ -564,3 +564,44 @@ class TestPipeline:
 
     def test_report_with_missing_file_exits_2(self, tmp_path):
         assert main(["--work", str(tmp_path), "report"]) == 2
+
+    def test_truncated_report_exits_2(self, tmp_path, capsys):
+        (tmp_path / "report.txt").write_text("mf\t1.1\t12\t0\nfull\t0.8\t12\n")
+        assert main(["--work", str(tmp_path), "report"]) == 2
+        assert "report.txt:2:" in capsys.readouterr().err
+
+    def prepare_fails(self, tmp_path, capsys, ratings_text, **overrides):
+        """Run prepare on ``ratings_text``; expect exit 2 and no finished prepare stage."""
+        ratings, trust = tmp_path / "ratings.txt", tmp_path / "trust.txt"
+        ratings.write_text(ratings_text)
+        trust.write_text("1,2\n")
+        config = tmp_path / "config.txt"
+        text = BASE_CONFIG.format(ratings=ratings, trust=trust, work=tmp_path / "work")
+        config.write_text(text + "".join(f"{key} = {value}\n" for key, value in overrides.items()))
+        assert self.run(str(config), "prepare") == 2
+        leftovers = [d for d in os.listdir(tmp_path / "work") if d.startswith("prepare") and not d.endswith(".tmp")]
+        assert leftovers == []
+        return capsys.readouterr().err
+
+    def test_empty_ratings_exit_2(self, tmp_path, capsys):
+        err = self.prepare_fails(tmp_path, capsys, "")
+        assert f"no ratings in {str(tmp_path / 'ratings.txt')!r}" in err
+
+    def test_split_with_an_empty_side_exits_2(self, tmp_path, capsys):
+        err = self.prepare_fails(tmp_path, capsys, "1,10,4\n2,11,3\n", **{"split.train_fraction": "0.8"})
+        assert "2 train and 0 test ratings" in err
+
+    @pytest.mark.parametrize(
+        "trust_text",
+        ["", "100,100\n101,101\n", "300,301\n301,302,0.5\n", None],
+        ids=["empty-trust", "self-loops-only", "trust-only-users", "single-user"],
+    )
+    def test_degenerate_trust_never_crashes(self, workspace, trust_text):
+        tmp_path, config_path = workspace
+        if trust_text is None:  # one user, who trusts nobody
+            (tmp_path / "ratings.txt").write_text("".join(f"100,{200 + i},{1 + i % 5}\n" for i in range(10)))
+            trust_text = ""
+        (tmp_path / "trust.txt").write_text(trust_text)
+        config = config_path()
+        for command in (("prepare",), ("train",), ("evaluate", "--ablate")):
+            assert self.run(config, *command) in (0, 2, 3)

@@ -223,7 +223,7 @@ class TestSkipGram:
         table = train_embeddings(walks, 10, config)
         d = config.dimensions
         expected = np.random.default_rng(config.seed).uniform(-0.5 / d, 0.5 / d, size=(10, d))
-        np.testing.assert_array_equal(table.vectors, expected)
+        np.testing.assert_array_equal(table, expected)
 
     def test_deterministic(self):
         g = barbell_graph()
@@ -231,7 +231,7 @@ class TestSkipGram:
         walks = generate_walks(g, config)
         a = train_embeddings(walks, 10, config)
         b = train_embeddings(walks, 10, config)
-        np.testing.assert_array_equal(a.vectors, b.vectors)
+        np.testing.assert_array_equal(a, b)
 
     def test_co_occurring_pairs_beat_strangers(self):
         # two disjoint pairs that never share a window: training must pull
@@ -243,11 +243,11 @@ class TestSkipGram:
         )
         table = train_embeddings(walks, 4, config)
         paired = min(
-            cosine_similarity(table.vectors[0], table.vectors[1]),
-            cosine_similarity(table.vectors[2], table.vectors[3]),
+            cosine_similarity(table[0], table[1]),
+            cosine_similarity(table[2], table[3]),
         )
         crossed = max(
-            cosine_similarity(table.vectors[a], table.vectors[b])
+            cosine_similarity(table[a], table[b])
             for a in (0, 1)
             for b in (2, 3)
         )
@@ -278,8 +278,8 @@ class TestSkipGram:
         walks = [[0, 1, 0, 1]]
         config = WalkConfig(dimensions=3, num_walks=1, walk_length=4, window=1, epochs=2, seed=0)
         table = train_embeddings(walks, 5, config)
-        np.testing.assert_array_equal(table.vectors[2:], np.zeros((3, 3)))
-        assert np.abs(table.vectors[:2]).sum() > 0
+        np.testing.assert_array_equal(table[2:], np.zeros((3, 3)))
+        assert np.abs(table[:2]).sum() > 0
 
 
 class TestNegativeSampler:
@@ -366,7 +366,9 @@ def record_steps(monkeypatch):
 class TestWindowBatches:
     """The window-batched skip-gram against per-pair references."""
 
-    WALKS = [[0, 1, 1, 2, 0, 3], [4, 2], [5], [3, 3, 0, 1, 4, 2, 2, 5, 0], [1, 0, 6]]
+    # five walks of six steps: at window 4 a middle position's window crosses
+    # both walk ends; nodes 1, 3 and 5 repeat inside windows; node 7 is in no walk
+    WALKS = [[0, 1, 1, 2, 0, 3], [4, 2, 5, 3, 3, 0], [3, 3, 0, 1, 4, 2], [2, 5, 0, 6, 1, 4], [1, 0, 6, 2, 5, 5]]
 
     def test_step_matches_scalar_reference(self):
         rng = np.random.default_rng(4)
@@ -395,7 +397,7 @@ class TestWindowBatches:
         for window, mask, outputs, lr in calls:
             inputs, contexts = reference_window_step(inputs, contexts, window, mask, outputs, lr)
         inputs[7] = 0.0  # node 7 is in no walk
-        np.testing.assert_allclose(table.vectors, inputs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(table, inputs, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("window", [1, 2, 4])
     def test_epoch_trains_the_walk_pair_multiset(self, monkeypatch, window):
@@ -425,28 +427,45 @@ class TestWindowBatches:
             tracemalloc.stop()
         assert peak < 8 * pairs
 
+    def test_array_corpus_is_read_in_place(self):
+        # the only per-token working array is the shuffled order (8 bytes a
+        # token); the walk array itself is neither copied nor bounded per token
+        walks = np.random.default_rng(0).integers(0, 1000, size=(10000, 80))
+        config = WalkConfig(dimensions=10, window=1, epochs=1, seed=0)
+        tracemalloc.start()
+        try:
+            train_embeddings(walks, 1000, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * walks.size
+
+    @pytest.mark.parametrize("walks", [[[0, 1, 2], [1, 2]], [0, 1, 2], np.zeros((2, 3, 4), dtype=np.int64)])
+    def test_corpus_must_be_one_walk_per_row(self, walks):
+        with pytest.raises(ValueError):
+            train_embeddings(walks, 3, WalkConfig(dimensions=2, window=1, seed=0))
+
 
 class TestNodeEmbeddings:
     def test_empty_graph_all_zero(self):
         table = node_embeddings(TrustGraph(5), WalkConfig(dimensions=4, seed=0))
-        assert table.num_nodes == 5
-        assert table.dimensions == 4
-        np.testing.assert_array_equal(table.vectors, np.zeros((5, 4)))
+        assert table.shape == (5, 4)
+        np.testing.assert_array_equal(table, np.zeros((5, 4)))
 
     def test_trustless_user_gets_zero_vector(self):
         g = TrustGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0)])
         config = WalkConfig(dimensions=4, num_walks=3, walk_length=8, epochs=1, seed=0)
         table = node_embeddings(g, config)
-        assert np.linalg.norm(table.vectors[3]) == 0.0
+        assert np.linalg.norm(table[3]) == 0.0
         for u in range(3):
-            assert np.linalg.norm(table.vectors[u]) > 0
+            assert np.linalg.norm(table[u]) > 0
 
     def test_directed_edge_walked_both_ways(self):
         g = TrustGraph.from_edges(2, [(0, 1, 1.0)])  # only one direction stored
         config = WalkConfig(dimensions=3, num_walks=2, walk_length=5, epochs=1, seed=0)
         table = node_embeddings(g, config)
-        assert np.linalg.norm(table.vectors[0]) > 0
-        assert np.linalg.norm(table.vectors[1]) > 0
+        assert np.linalg.norm(table[0]) > 0
+        assert np.linalg.norm(table[1]) > 0
 
     def test_barbell_cliques_separate(self):
         config = WalkConfig(
@@ -456,7 +475,7 @@ class TestNodeEmbeddings:
         table = node_embeddings(barbell_graph(), config)
         intra, inter = [], []
         for a, b in combinations(range(10), 2):
-            sim = cosine_similarity(table.vectors[a], table.vectors[b])
+            sim = cosine_similarity(table[a], table[b])
             (intra if (a < 5) == (b < 5) else inter).append(sim)
         assert np.mean(intra) > np.mean(inter)
 

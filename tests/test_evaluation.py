@@ -1,9 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 from trustrec import evaluation
 from trustrec.autoencoder import AutoencoderConfig
-from trustrec.data import RatingMatrix, SplitSpec, split
+from trustrec.data import DataFormatError, RatingMatrix, SplitSpec, split
 from trustrec.evaluation import (
     ABLATION_TAGS,
     EvalReport,
@@ -122,6 +124,22 @@ class TestReportLines:
         path = tmp_path / "reports.tsv"
         write_reports(reports, path)
         assert read_reports(path) == reports
+
+    def test_failed_write_keeps_the_old_report(self, tmp_path):
+        path = tmp_path / "reports.tsv"
+        write_reports([EvalReport("mf", 1.25, 100, 3)], path)
+        before = path.read_bytes()
+        with pytest.raises(AttributeError):
+            write_reports([EvalReport("full", 0.75, 100, 3), None], path)  # raises on the second line
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["reports.tsv"]
+
+    @pytest.mark.parametrize("line", ["full\t0.8\t12", "full\tnan?\t12\t0", "full\t0.8\t12\t0\t1"])
+    def test_malformed_record_names_its_line(self, tmp_path, line):
+        path = tmp_path / "reports.tsv"
+        path.write_text(f"mf\t1.25\t100\t3\n{line}\n")
+        with pytest.raises(DataFormatError, match=r"reports.tsv:2:"):
+            read_reports(path)
 
 
 class TestConstantBaseline:

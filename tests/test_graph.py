@@ -223,6 +223,11 @@ class TestPagerank:
         with pytest.raises(RuntimeError):
             pagerank(directed_adjacency(g), tol=0.0, max_iter=3)
 
+    @pytest.mark.parametrize("damping", [1.0, 1.5, -0.1])
+    def test_damping_outside_unit_interval_rejected(self, damping):
+        with pytest.raises(ValueError, match=r"damping must lie in \[0, 1\)"):
+            pagerank(directed_adjacency(complete_graph(5)), damping=damping)
+
 
 class TestOtherCentralities:
     def test_hits_authority_prefers_sink(self):

@@ -5,7 +5,6 @@ import pytest
 
 from trustrec import model as model_module
 from trustrec.data import RatingMatrix
-from trustrec.embed import EmbeddingTable
 from trustrec.graph import LeaderTable, PropagatedTrust
 from trustrec.model import (
     HyperParams,
@@ -85,7 +84,7 @@ class TestParams:
         with pytest.raises(ValueError):
             TrainingContext(train=ratings, trust=bad_trust).validate()
         with pytest.raises(ValueError):
-            TrainingContext(train=ratings, embeddings=EmbeddingTable(np.zeros((3, 2)))).validate()
+            TrainingContext(train=ratings, embeddings=np.zeros((3, 2))).validate()
         with pytest.raises(ValueError):
             TrainingContext(
                 train=ratings,
@@ -98,13 +97,13 @@ class TestPredict:
         params = ModelParams(
             np.array([[1.0], [0.0]]), np.array([[2.0], [3.0]]), np.array([1.0, 1.0])
         )
-        table = EmbeddingTable(np.array([[0.0, 1.0]]))
+        table = np.array([[0.0, 1.0]])
         assert predict(params, table, [0], [0]).tolist() == [5.0]
 
     def test_zero_weights_reduce_to_plain_factors(self):
         rng = np.random.default_rng(0)
         params = ModelParams(rng.normal(size=(3, 4)), rng.normal(size=(3, 5)), np.zeros(3))
-        table = EmbeddingTable(rng.normal(size=(4, 3)))
+        table = rng.normal(size=(4, 3))
         users, items = np.divmod(np.arange(20), 5)
         np.testing.assert_allclose(
             predict(params, table, users, items), (params.P.T @ params.Q).ravel(), rtol=0, atol=1e-15
@@ -112,7 +111,7 @@ class TestPredict:
 
     def test_zero_factors_predict_zero(self):
         params = ModelParams(np.zeros((2, 1)), np.ones((2, 1)), np.ones(2))
-        table = EmbeddingTable(np.zeros((1, 2)))
+        table = np.zeros((1, 2))
         assert predict(params, table, [0], [0]).tolist() == [0.0]
 
     def test_no_embedding_table_means_plain_dot(self):
@@ -139,7 +138,7 @@ class TestPredict:
         params = ModelParams(rng.normal(size=(3, 6)), rng.normal(size=(3, 5)), rng.normal(size=3))
         got = predict(params, ctx.embeddings, ctx.train.users, ctx.train.items)
         expected = [
-            float((params.P[:, u] + params.W * ctx.embeddings.vectors[u]) @ params.Q[:, i])
+            float((params.P[:, u] + params.W * ctx.embeddings[u]) @ params.Q[:, i])
             for u, i in zip(ctx.train.users, ctx.train.items)
         ]
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
@@ -498,10 +497,10 @@ class TestLevelScheduledEpoch:
         count, k = 200, 3
         idx = np.arange(count)
         ratings = RatingMatrix(count, count, idx, idx, rng.uniform(1.0, 5.0, size=count)).validate()
-        ctx = TrainingContext(train=ratings, embeddings=EmbeddingTable(rng.normal(0, 10.0, size=(count, k))))
+        ctx = TrainingContext(train=ratings, embeddings=rng.normal(0, 10.0, size=(count, k)))
         hp = plain_hp(k=k, learning_rate=0.01, lam_p=0.1, lam_q=0.1, lam_w=0.1)
         params = ModelParams(np.zeros((k, count)), rng.normal(0, 1.0, size=(k, count)), np.zeros(k))
-        z = ctx.embeddings.vectors * params.Q.T
+        z = ctx.embeddings * params.Q.T
         assert hp.learning_rate * np.linalg.norm(z.T @ z, 2) > 100
         before = objective(params, ctx, hp)
         for _ in range(5):

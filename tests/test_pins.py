@@ -102,7 +102,7 @@ def library_digests():
         "leaders": _digest(leaders.leaders),
         "propagated": _digest(propagated.truster, propagated.trustee, propagated.values),
         "walks": _digest([len(w) for w in walks], np.concatenate(walks)),
-        "embeddings": _digest(table.vectors),
+        "embeddings": _digest(table),
         "model": _digest(params.P, params.Q, params.W, history),
     }
 
