@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 usage or input error, 3 numeric failure.
 import argparse
 import fcntl
 import functools
+import glob
 import hashlib
 import os
 import shutil
@@ -23,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import evaluation
+from . import evaluation, parallel
 from .autoencoder import AutoencoderConfig
 from .data import (
     DataFormatError,
@@ -222,13 +223,13 @@ def _run_stage(work, stage, key, produce):
 
     A stage folder exists only when complete: ``produce`` writes into a fresh
     ``<folder>.tmp``, which moves into place only when it returns.  The work
-    lock keeps that fixed temporary name private to one command.  The pointer
-    file ``<stage>.current`` then lets later stages find the folder.
+    lock keeps that fixed temporary name private to one command, and clears
+    the ones earlier commands left.  The pointer file ``<stage>.current``
+    then lets later stages find the folder.
     """
     out = os.path.join(work, f"{stage}-{key}")
     if not os.path.isdir(out):
         tmp = out + ".tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
         os.makedirs(tmp)
         produce(tmp)
         os.replace(tmp, out)
@@ -252,8 +253,14 @@ class _WorkLock:
 
     Holds an exclusive ``flock`` on ``work/.lock``.  The OS releases it when
     the holder exits, however it exits, so a killed command never blocks the
-    next one; the empty lock file itself stays in place.
+    next one; the empty lock file itself stays in place.  A forked worker
+    closes its copy of the descriptor at once (see ``_drop_locks``), so the
+    lock never outlives the command that took it.  Once held, the lock's
+    owner removes the ``<stage>-<key>.tmp`` folders that failed or killed
+    commands left behind.
     """
+
+    held = set()  # descriptors of the locks this process holds
 
     def __init__(self, work):
         self.path = os.path.join(work, ".lock")
@@ -268,11 +275,23 @@ class _WorkLock:
             os.close(fd)
             raise ConfigError(f"work directory is locked ({self.path}); is another command running?") from None
         self.fd = fd
+        _WorkLock.held.add(fd)
+        for stale in glob.glob(os.path.join(glob.escape(os.path.dirname(self.path)), "*-*.tmp")):
+            shutil.rmtree(stale, ignore_errors=True)
         return self
 
     def __exit__(self, *exc):
+        _WorkLock.held.discard(self.fd)
         os.close(self.fd)
         return False
+
+
+def _drop_locks():
+    while _WorkLock.held:
+        os.close(_WorkLock.held.pop())
+
+
+os.register_at_fork(after_in_child=_drop_locks)
 
 
 def cmd_prepare(config):
@@ -354,24 +373,22 @@ def _load_context(config, train_split):
 
 
 def cmd_train(config):
-    """Autoencoders, graph analysis, embeddings, then factor-model SGD."""
+    """Autoencoders, graph analysis, embeddings, then factor-model SGD.
+
+    When the autoencoder stage is not cached, a forked worker computes its
+    codes while this process runs the graph and embedding stages
+    (``parallel.both``); the codes are then written here like any stage's
+    files, so the worker writes nothing in the work directory.
+    """
     work = config.work_dir
     prep_key = os.path.basename(_current_stage(work, "prepare")).split("-", 1)[1]
     # loaded at most once, and only if some stage misses the cache
     prepared = functools.cache(lambda: _load_prepared(config))
 
-    def autoencoder(out):
-        train_split, _, _ = prepared()
+    def codes():
         user_cfg = config.autoencoder
         item_cfg = replace(user_cfg, seed=user_cfg.seed + 1)
-        init_p, init_q = evaluation.autoencoder_inits(
-            train_split, config.model.k, user_cfg, item_cfg
-        )
-        _check_finite("autoencoder codes", init_p, init_q)
-        save_checkpoint(os.path.join(out, "codes.ckpt"), "ae-codes", {"init_P": init_p, "init_Q": init_q})
-
-    ae_key = _stage_key(config.autoencoder, config.model.k, prep_key)
-    ae_path = os.path.join(_run_stage(work, "autoencoder", ae_key, autoencoder), "codes.ckpt")
+        return evaluation.autoencoder_inits(prepared()[0], config.model.k, user_cfg, item_cfg)
 
     def graph(out):
         _, _, trust = prepared()
@@ -395,17 +412,33 @@ def cmd_train(config):
             {"num_communities": communities.num_communities, "num_users": trust.num_users},
         )
 
-    graph_key = _stage_key(config.graph, prep_key)
-    graph_path = os.path.join(_run_stage(work, "graph", graph_key, graph), "graph.ckpt")
-
     def embed(out):
         _, _, trust = prepared()
         vectors = node_embeddings(trust, config.walks)
         _check_finite("embeddings", vectors)
         save_checkpoint(os.path.join(out, "embeddings.ckpt"), "embeddings", {"vectors": vectors})
 
-    embed_key = _stage_key(config.walks, prep_key)
-    embed_path = os.path.join(_run_stage(work, "embed", embed_key, embed), "embeddings.ckpt")
+    def trust_stages():
+        graph_key = _stage_key(config.graph, prep_key)
+        embed_key = _stage_key(config.walks, prep_key)
+        return (
+            os.path.join(_run_stage(work, "graph", graph_key, graph), "graph.ckpt"),
+            os.path.join(_run_stage(work, "embed", embed_key, embed), "embeddings.ckpt"),
+        )
+
+    ae_key = _stage_key(config.autoencoder, config.model.k, prep_key)
+    if os.path.isdir(os.path.join(work, f"autoencoder-{ae_key}")):
+        ae_codes, (graph_path, embed_path) = None, trust_stages()
+    else:
+        prepared()  # before the fork, so that both sides share one load
+        ae_codes, (graph_path, embed_path) = parallel.both(codes, trust_stages)
+
+    def autoencoder(out):
+        init_p, init_q = ae_codes
+        _check_finite("autoencoder codes", init_p, init_q)
+        save_checkpoint(os.path.join(out, "codes.ckpt"), "ae-codes", {"init_P": init_p, "init_Q": init_q})
+
+    ae_path = os.path.join(_run_stage(work, "autoencoder", ae_key, autoencoder), "codes.ckpt")
 
     def model(out):
         ctx, (init_p, init_q) = _load_context(config, prepared()[0])

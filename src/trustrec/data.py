@@ -20,9 +20,12 @@ class DataFormatError(ValueError):
     """A malformed or out-of-range input line; carries file path and line number."""
 
     def __init__(self, path, line_no, message):
-        super().__init__(f"{path}:{line_no}: {message}")
+        super().__init__(str(path), line_no, message)  # all three, so that pickle can rebuild it
         self.path = str(path)
         self.line_no = line_no
+
+    def __str__(self):
+        return "{}:{}: {}".format(*self.args)
 
 
 class IdMap:

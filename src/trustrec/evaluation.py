@@ -5,6 +5,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autoencoder as ae
+from . import parallel
 from .data import DataFormatError
 from .model import init_params, predict, train
 from .serialize import replace_on_success
@@ -94,7 +95,10 @@ def run_ablations(ctx, hp, test, ae_init=None, full_params=None):
     (and reports the degenerate comparison) without pretraining.  The last
     variant is the full model: ``full_params``, when given, must be that
     model already trained on ``ctx`` from ``ae_init`` with ``hp``, and is
-    scored as it is instead of being trained again.
+    scored as it is instead of being trained again.  Each rung trains from
+    its own seeded generator, so the rungs are independent: a forked worker
+    trains ``mf+ae`` and ``mf+ae+trust+leader`` while this process trains the
+    others (``parallel.both``).  Reports keep the ``ABLATION_TAGS`` order.
     """
     ctx.validate()
     m, n = ctx.train.num_users, ctx.train.num_items
@@ -109,15 +113,21 @@ def run_ablations(ctx, hp, test, ae_init=None, full_params=None):
         (ABLATION_TAGS[3], ae_init, replace(ctx, embeddings=None)),
         (ABLATION_TAGS[4], ae_init, ctx),
     )
-    reports = []
-    for tag, (init_P, init_Q), variant_ctx in variants:
-        if tag == ABLATION_TAGS[-1] and full_params is not None:
-            params = full_params
-        else:
-            params, _ = train(variant_ctx, hp, init_P, init_Q)
-        reports.append(
-            evaluate(params, variant_ctx.embeddings, test, model_tag=tag, seed=hp.seed)
-        )
+
+    def score(rungs):
+        reports = []
+        for tag, (init_P, init_Q), variant_ctx in rungs:
+            if tag == ABLATION_TAGS[-1] and full_params is not None:
+                params = full_params
+            else:
+                params, _ = train(variant_ctx, hp, init_P, init_Q)
+            reports.append(
+                evaluate(params, variant_ctx.embeddings, test, model_tag=tag, seed=hp.seed)
+            )
+        return reports
+
+    reports = [None] * len(variants)
+    reports[1::2], reports[0::2] = parallel.both(lambda: score(variants[1::2]), lambda: score(variants[0::2]))
     return reports
 
 

@@ -300,7 +300,9 @@ def sgd_epoch(params, ctx, hp, rng=None, tables=None):
     with Z's rows X_u ⊙ Q_i.  Regularizers are spread across visits so an
     epoch sums to the full objective's: P-ridge, trust and leader terms of
     user u scale by 1/|ratings of u|, the Q-ridge by 1/|ratings of i|, the
-    W-ridge by 1/N.  Non-finite values give NaN or inf, never an error.
+    W-ridge by 1/N.  Without embeddings Z is zero and W takes no step:
+    ``train`` starts W at zero, where that step would leave it.  Non-finite
+    values give NaN or inf, never an error.
     """
     tables = tables or _Tables(ctx.validate(), hp.k)
     rng = rng if rng is not None else np.random.default_rng(hp.seed)
@@ -320,12 +322,13 @@ def sgd_epoch(params, ctx, hp, rng=None, tables=None):
         if social is not None:
             gp += tables.inv_user[u, None] * (social[u] @ Pt)
         gq = e[:, None] * a + (hp.lam_q * tables.inv_item[i])[:, None] * qi
-        z = xu * qi
-        lhs = (1.0 + lr * len(s) * hp.lam_w / len(values)) * np.eye(hp.k) + lr * (z.T @ z)
-        try:
-            W = np.linalg.solve(lhs, W - lr * (z.T @ (e - z @ W)))
-        except np.linalg.LinAlgError:
-            W = np.full(hp.k, np.nan)  # the system is positive definite when finite
+        if ctx.embeddings is not None:
+            z = xu * qi
+            lhs = (1.0 + lr * len(s) * hp.lam_w / len(values)) * np.eye(hp.k) + lr * (z.T @ z)
+            try:
+                W = np.linalg.solve(lhs, W - lr * (z.T @ (e - z @ W)))
+            except np.linalg.LinAlgError:
+                W = np.full(hp.k, np.nan)  # the system is positive definite when finite
         Pt[u] = pu - lr * gp
         Qt[i] = qi - lr * gq
     return ModelParams(np.ascontiguousarray(Pt.T), np.ascontiguousarray(Qt.T), W)

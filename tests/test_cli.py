@@ -586,6 +586,13 @@ class TestPipeline:
     def test_empty_ratings_exit_2(self, tmp_path, capsys):
         err = self.prepare_fails(tmp_path, capsys, "")
         assert f"no ratings in {str(tmp_path / 'ratings.txt')!r}" in err
+        # the failed stage's folder goes once the next command holds the lock,
+        # though the fixed input gives the stage another key
+        work = tmp_path / "work"
+        assert [d for d in os.listdir(work) if d.endswith(".tmp")]
+        (tmp_path / "ratings.txt").write_text("".join(f"1,{10 + i},{1 + i % 5}\n" for i in range(10)))
+        assert self.run(str(tmp_path / "config.txt"), "prepare") == 0
+        assert not [d for d in os.listdir(work) if d.endswith(".tmp")]
 
     def test_split_with_an_empty_side_exits_2(self, tmp_path, capsys):
         err = self.prepare_fails(tmp_path, capsys, "1,10,4\n2,11,3\n", **{"split.train_fraction": "0.8"})

@@ -195,7 +195,7 @@ class TestAblations:
         assert {r.num_pairs for r in reports} == {len(test_split)}
         assert all(np.isfinite(r.rmse) for r in reports)
 
-    def test_trained_full_model_is_scored_not_retrained(self, make_context, monkeypatch):
+    def test_trained_full_model_is_scored_not_retrained(self, make_context, monkeypatch, tmp_path):
         rng = np.random.default_rng(4)
         ctx = make_context(rng, 10, 8, 3)
         train_split, test_split = split(ctx.train, SplitSpec(0.75, 4))
@@ -205,12 +205,23 @@ class TestAblations:
         ae_init = (start.P, start.Q)
         full, _ = train(ctx, hp, *ae_init)
 
-        calls = []
-        monkeypatch.setattr(evaluation, "train", lambda *a: calls.append(a) or train(*a))
+        # counted in a file, so that calls made in the forked worker count too
+        log = tmp_path / "calls.txt"
+        log.write_text("")
+
+        def counting(*a):
+            with open(log, "a") as fh:
+                fh.write("train\n")
+            return train(*a)
+
+        def calls():
+            return log.read_text().splitlines()
+
+        monkeypatch.setattr(evaluation, "train", counting)
         retrained = run_ablations(ctx, hp, test_split, ae_init=ae_init)
-        assert len(calls) == 5
+        assert len(calls()) == 5
         reused = run_ablations(ctx, hp, test_split, ae_init=ae_init, full_params=full)
-        assert len(calls) == 9
+        assert len(calls()) == 9
         assert [r.line() for r in reused] == [r.line() for r in retrained]
 
     def test_plain_variant_reaches_noise_floor_on_planted_data(self):

@@ -589,6 +589,22 @@ class TestTrain:
         np.testing.assert_array_equal(a.P, b.P)
         np.testing.assert_array_equal(a.Q, b.Q)
 
+    def test_embedding_free_training_leaves_w_at_zero_without_solving(self, make_context, monkeypatch):
+        # trust and leaders on, embeddings off: the gate has nothing to weigh
+        rng = np.random.default_rng(9)
+        ctx = make_context(rng, 8, 6, 3, with_embeddings=False)
+        hp = HyperParams(
+            k=3, learning_rate=0.02, lam_p=0.05, lam_q=0.05, lam_w=0.05, lam_t=0.05,
+            lam_c=0.05, epochs=5, seed=3,
+        )
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+        start = init_params(8, 6, hp)
+        best, _ = train(ctx, hp, start.P, start.Q)
+        np.testing.assert_array_equal(best.W, np.zeros(3))
+        assert solves == []
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
