@@ -41,7 +41,7 @@ from .data import (
 )
 from .embed import WalkConfig, node_embeddings
 from .graph import (
-    CENTRALITY_METHODS,
+    GraphOptions,
     LeaderTable,
     PropagatedTrust,
     community_leaders,
@@ -58,27 +58,6 @@ class ConfigError(ValueError):
 
 class NumericError(ArithmeticError):
     """Training produced a non-finite value."""
-
-
-@dataclass
-class GraphOptions:
-    """Propagation and leader-selection settings."""
-
-    decay: float = 0.8
-    max_depth: int = 3
-    centrality: str = "pagerank"
-    damping: float = 0.85
-    louvain_seed: int = 0
-
-    def __post_init__(self):
-        if self.centrality not in CENTRALITY_METHODS:
-            raise ValueError(f"unknown centrality method {self.centrality!r}")
-        if not 0 < self.decay <= 1:
-            raise ValueError("decay must lie in (0, 1]")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
-        if not 0 <= self.damping < 1:
-            raise ValueError("damping must lie in [0, 1)")
 
 
 @dataclass
@@ -149,13 +128,10 @@ def build_config(raw, seed_override=None, work_override=None):
     """Typed PipelineConfig from a raw mapping, applying CLI overrides."""
     values = {}
     for key, (convert, default) in DEFAULTS.items():
-        if key in raw:
-            try:
-                values[key] = convert(raw[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {key}: {exc}") from None
-        else:
-            values[key] = default
+        try:
+            values[key] = convert(raw[key]) if key in raw else default
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {key}: {exc}") from None
     if seed_override is not None:
         for key in _SEED_KEYS:
             values[key] = seed_override
@@ -164,18 +140,14 @@ def build_config(raw, seed_override=None, work_override=None):
     for key in _SEED_KEYS:
         if values[key] < 0:
             raise ConfigError(f"bad value for {key}: seeds must be non-negative, got {values[key]}")
-
-    def section(prefix):
-        plen = len(prefix) + 1
-        return {k[plen:]: v for k, v in values.items() if k.startswith(prefix + ".")}
-
     try:
         config = PipelineConfig(
             ratings_path=values["paths.ratings"],
             trust_path=values["paths.trust"],
             work_dir=values["paths.work"],
             scale=(values["data.scale_min"], values["data.scale_max"]),
-            **{name: cls(**section(name)) for name, cls in SECTIONS.items()},
+            **{name: cls(**{f.name: values[f"{name}.{f.name}"] for f in fields(cls)})
+               for name, cls in SECTIONS.items()},
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -187,7 +159,7 @@ def build_config(raw, seed_override=None, work_override=None):
     ):
         if width != config.model.k:
             raise ConfigError(f"{name} = {width} does not match model.k = {config.model.k}")
-    return config, values
+    return config
 
 
 def _code_digest():
@@ -218,34 +190,58 @@ def _hash_file(path):
     return digest.hexdigest()
 
 
-def _run_stage(work, stage, key, produce):
-    """Folder ``work/<stage>-<key>``, made by ``produce(folder)`` unless it exists.
+# the file of each stage that the train stage reads, in its key's order
+_TRAIN_INPUTS = {"autoencoder": "codes.ckpt", "graph": "graph.ckpt", "embed": "embeddings.ckpt"}
+
+
+def _stage_folders(config, *need):
+    """This config's folder ``work/<stage>-<key>`` of each stage, made yet or not.
+
+    A key digests the stage's config section and what the stage reads: the
+    input files for prepare, the prepare key for the three stages that read
+    the split, and those three stages' files for train.  So the train folder
+    is named only once those files exist.  A stage in ``need`` without its
+    folder is an error that names the command to run first.
+    """
+    prep = _stage_key(config.scale, config.split, _hash_file(config.ratings_path), _hash_file(config.trust_path))
+    keys = {
+        "prepare": prep,
+        "autoencoder": _stage_key(config.autoencoder, config.model.k, prep),
+        "graph": _stage_key(config.graph, prep),
+        "embed": _stage_key(config.walks, prep),
+    }
+    folders = {stage: os.path.join(config.work_dir, f"{stage}-{key}") for stage, key in keys.items()}
+    inputs = [os.path.join(folders[stage], name) for stage, name in _TRAIN_INPUTS.items()]
+    if all(map(os.path.exists, inputs)):
+        key = _stage_key(config.model, *map(_hash_file, inputs))
+        folders["train"] = os.path.join(config.work_dir, f"train-{key}")
+    for stage in need:
+        if not os.path.isdir(folders.get(stage, "")):
+            command = "prepare" if stage == "prepare" else "train"
+            raise ConfigError(f"no {stage} stage for this config in {config.work_dir}; "
+                              f"run {command} with this config first")
+    return folders
+
+
+def _run_stage(out, produce):
+    """Make the stage folder ``out`` by ``produce(folder)``, unless it exists.
 
     A stage folder exists only when complete: ``produce`` writes into a fresh
-    ``<folder>.tmp``, which moves into place only when it returns.  The work
+    ``<out>.tmp``, which moves into place only when it returns.  The work
     lock keeps that fixed temporary name private to one command, and clears
-    the ones earlier commands left.  The pointer file ``<stage>.current``
-    then lets later stages find the folder.
+    the ones earlier commands left.
     """
-    out = os.path.join(work, f"{stage}-{key}")
     if not os.path.isdir(out):
-        tmp = out + ".tmp"
-        os.makedirs(tmp)
-        produce(tmp)
-        os.replace(tmp, out)
-    with replace_on_success(os.path.join(work, f"{stage}.current")) as fh:
-        fh.write(key + "\n")
-    return out
+        os.makedirs(out + ".tmp")
+        produce(out + ".tmp")
+        os.replace(out + ".tmp", out)
 
 
-def _current_stage(work, stage, name=None):
-    """The stage's current folder, or the file ``name`` inside it."""
-    pointer = os.path.join(work, f"{stage}.current")
-    if not os.path.exists(pointer):
-        raise ConfigError(f"missing {stage} artifacts in {work}; run earlier stages first")
-    with open(pointer) as fh:
-        folder = os.path.join(work, f"{stage}-{fh.read().strip()}")
-    return folder if name is None else os.path.join(folder, name)
+def _point_at(work, folders):
+    """Point each ``work/<stage>.current`` at that stage's folder in ``folders``."""
+    for stage, folder in folders.items():
+        with replace_on_success(os.path.join(work, f"{stage}.current")) as fh:
+            fh.write(os.path.basename(folder)[len(stage) + 1:] + "\n")
 
 
 class _WorkLock:
@@ -296,9 +292,7 @@ os.register_at_fork(after_in_child=_drop_locks)
 
 def cmd_prepare(config):
     """Split the ratings, share the user index with the trust graph, cache both."""
-    for path in (config.ratings_path, config.trust_path):
-        if not path or not os.path.exists(path):
-            raise ConfigError(f"input file not found: {path!r}")
+    folders = _stage_folders(config)
 
     def produce(out):
         user_map, item_map = IdMap(), IdMap()
@@ -322,19 +316,18 @@ def cmd_prepare(config):
         meta = {"num_users": ratings.num_users, "num_items": ratings.num_items}
         save_checkpoint(os.path.join(out, "split.ckpt"), "split", arrays, meta)
 
-    key = _stage_key(config.scale, config.split, _hash_file(config.ratings_path), _hash_file(config.trust_path))
-    return _run_stage(config.work_dir, "prepare", key, produce)
+    _run_stage(folders["prepare"], produce)
+    _point_at(config.work_dir, {"prepare": folders["prepare"]})
 
 
-def _load_prepared(config, trust=True):
-    """Train split, test split and trust graph (None unless asked for) from ``split.ckpt``.
+def _load_prepared(config, folder, trust=True):
+    """Train split, test split and trust graph (None unless asked for) from ``folder/split.ckpt``.
 
     Each equals a reparse of the prepared text files through the saved id
     maps: the trust columns are the graph's CSR rows in order, so every later
     stage sees the same neighbor order.
     """
-    path = _current_stage(config.work_dir, "prepare", "split.ckpt")
-    _, arrays, meta = load_checkpoint(path, expect_kind="split")
+    _, arrays, meta = load_checkpoint(os.path.join(folder, "split.ckpt"), expect_kind="split")
     num_users, num_items = meta["num_users"], meta["num_items"]
 
     def ratings(name):
@@ -351,22 +344,21 @@ def _check_finite(name, *arrays):
             raise NumericError(f"non-finite values in {name}")
 
 
-def _load_embeddings(work):
-    _, arrays, _ = load_checkpoint(_current_stage(work, "embed", "embeddings.ckpt"), expect_kind="embeddings")
+def _load_embeddings(folders):
+    _, arrays, _ = load_checkpoint(os.path.join(folders["embed"], "embeddings.ckpt"), expect_kind="embeddings")
     return arrays["vectors"]
 
 
-def _load_context(config, train_split):
-    """Training context and autoencoder codes from the current stage checkpoints."""
-    work = config.work_dir
-    _, codes, _ = load_checkpoint(_current_stage(work, "autoencoder", "codes.ckpt"), expect_kind="ae-codes")
-    _, arrays, meta = load_checkpoint(_current_stage(work, "graph", "graph.ckpt"), expect_kind="graph")
+def _load_context(folders, train_split):
+    """Training context and autoencoder codes from the checkpoints in the stage ``folders``."""
+    _, codes, _ = load_checkpoint(os.path.join(folders["autoencoder"], "codes.ckpt"), expect_kind="ae-codes")
+    _, arrays, meta = load_checkpoint(os.path.join(folders["graph"], "graph.ckpt"), expect_kind="graph")
     labels = arrays["labels"].astype(np.int64)
     truster, trustee, trust = arrays["pairs"].T
     ctx = TrainingContext(
         train_split,
         trust=PropagatedTrust(truster, trustee, trust, meta["num_users"]),
-        embeddings=_load_embeddings(work),
+        embeddings=_load_embeddings(folders),
         leaders=LeaderTable(arrays["leaders"].astype(np.int64), labels),
     )
     return ctx, (codes["init_P"], codes["init_Q"])
@@ -378,12 +370,12 @@ def cmd_train(config):
     When the autoencoder stage is not cached, a forked worker computes its
     codes while this process runs the graph and embedding stages
     (``parallel.both``); the codes are then written here like any stage's
-    files, so the worker writes nothing in the work directory.
+    files, so the worker writes nothing in the work directory.  The
+    ``<stage>.current`` pointers move only once the last stage is done.
     """
-    work = config.work_dir
-    prep_key = os.path.basename(_current_stage(work, "prepare")).split("-", 1)[1]
+    folders = _stage_folders(config, "prepare")
     # loaded at most once, and only if some stage misses the cache
-    prepared = functools.cache(lambda: _load_prepared(config))
+    prepared = functools.cache(lambda: _load_prepared(config, folders["prepare"]))
 
     def codes():
         user_cfg = config.autoencoder
@@ -393,24 +385,19 @@ def cmd_train(config):
     def graph(out):
         _, _, trust = prepared()
         communities = louvain(trust, seed=config.graph.louvain_seed)
-        kwargs = {"damping": config.graph.damping} if config.graph.centrality == "pagerank" else {}
         try:
-            leaders = community_leaders(trust, communities, method=config.graph.centrality, **kwargs)
-        except RuntimeError as exc:  # a centrality iteration that does not converge
+            leaders = community_leaders(trust, communities, damping=config.graph.damping)
+        except RuntimeError as exc:  # a PageRank iteration that does not converge
             raise NumericError(str(exc)) from None
         propagated = propagate_trust(trust, config.graph.decay, config.graph.max_depth)
-        pairs = np.column_stack([propagated.truster, propagated.trustee, propagated.values])
-        save_checkpoint(
-            os.path.join(out, "graph.ckpt"),
-            "graph",
-            {
-                "labels": communities.labels,
-                "modularity": np.array([communities.modularity]),
-                "leaders": leaders.leaders,
-                "pairs": pairs,
-            },
-            {"num_communities": communities.num_communities, "num_users": trust.num_users},
-        )
+        arrays = {
+            "labels": communities.labels,
+            "modularity": np.array([communities.modularity]),
+            "leaders": leaders.leaders,
+            "pairs": np.column_stack([propagated.truster, propagated.trustee, propagated.values]),
+        }
+        meta = {"num_communities": communities.num_communities, "num_users": trust.num_users}
+        save_checkpoint(os.path.join(out, "graph.ckpt"), "graph", arrays, meta)
 
     def embed(out):
         _, _, trust = prepared()
@@ -419,29 +406,24 @@ def cmd_train(config):
         save_checkpoint(os.path.join(out, "embeddings.ckpt"), "embeddings", {"vectors": vectors})
 
     def trust_stages():
-        graph_key = _stage_key(config.graph, prep_key)
-        embed_key = _stage_key(config.walks, prep_key)
-        return (
-            os.path.join(_run_stage(work, "graph", graph_key, graph), "graph.ckpt"),
-            os.path.join(_run_stage(work, "embed", embed_key, embed), "embeddings.ckpt"),
-        )
+        _run_stage(folders["graph"], graph)
+        _run_stage(folders["embed"], embed)
 
-    ae_key = _stage_key(config.autoencoder, config.model.k, prep_key)
-    if os.path.isdir(os.path.join(work, f"autoencoder-{ae_key}")):
-        ae_codes, (graph_path, embed_path) = None, trust_stages()
+    if os.path.isdir(folders["autoencoder"]):
+        ae_codes, _ = None, trust_stages()
     else:
         prepared()  # before the fork, so that both sides share one load
-        ae_codes, (graph_path, embed_path) = parallel.both(codes, trust_stages)
+        ae_codes, _ = parallel.both(codes, trust_stages)
 
     def autoencoder(out):
         init_p, init_q = ae_codes
         _check_finite("autoencoder codes", init_p, init_q)
         save_checkpoint(os.path.join(out, "codes.ckpt"), "ae-codes", {"init_P": init_p, "init_Q": init_q})
 
-    ae_path = os.path.join(_run_stage(work, "autoencoder", ae_key, autoencoder), "codes.ckpt")
+    _run_stage(folders["autoencoder"], autoencoder)
 
     def model(out):
-        ctx, (init_p, init_q) = _load_context(config, prepared()[0])
+        ctx, (init_p, init_q) = _load_context(folders, prepared()[0])
         params, history = train(ctx, config.model, init_p, init_q)
         _check_finite("the training objective", history)
         _check_finite("model parameters", params.P, params.Q, params.W)
@@ -450,22 +432,24 @@ def cmd_train(config):
             for value in history:
                 fh.write(f"{value!r}\n")
 
-    key = _stage_key(config.model, _hash_file(ae_path), _hash_file(graph_path), _hash_file(embed_path))
-    return os.path.join(_run_stage(work, "train", key, model), "model.ckpt")
+    folders = _stage_folders(config, *_TRAIN_INPUTS)  # now names the train folder too
+    _run_stage(folders["train"], model)
+    _point_at(config.work_dir, folders)
 
 
 def cmd_evaluate(config, ablate=False, baseline_mean=False):
-    """Score the trained checkpoint on the cached test split; write report.txt.
+    """Score the checkpoint this config trained on the cached test split; write report.txt.
 
     The ladder reads propagated trust from ``graph.ckpt``, not ``trust.txt``.
     """
-    train_split, test_split, _ = _load_prepared(config, trust=False)
-    params = load_params(_current_stage(config.work_dir, "train", "model.ckpt"))
+    folders = _stage_folders(config, "prepare", *_TRAIN_INPUTS, "train")
+    train_split, test_split, _ = _load_prepared(config, folders["prepare"], trust=False)
+    params = load_params(os.path.join(folders["train"], "model.ckpt"))
     if ablate:
-        ctx, ae_init = _load_context(config, train_split)
+        ctx, ae_init = _load_context(folders, train_split)
         reports = evaluation.run_ablations(ctx, config.model, test_split, ae_init=ae_init, full_params=params)
     else:
-        embeddings = _load_embeddings(config.work_dir)
+        embeddings = _load_embeddings(folders)
         reports = [
             evaluation.evaluate(params, embeddings, test_split, model_tag="full", seed=config.model.seed)
         ]
@@ -514,7 +498,7 @@ def main(argv=None):
         if args.command == "report":
             work = args.work
             if work is None and args.config:
-                work = build_config(parse_config_file(args.config), args.seed, args.work)[0].work_dir
+                work = build_config(parse_config_file(args.config), args.seed, args.work).work_dir
             if work is None:
                 print("report needs --work or --config", file=sys.stderr)
                 return 2
@@ -523,8 +507,7 @@ def main(argv=None):
         if not args.config:
             print(f"{args.command} needs --config", file=sys.stderr)
             return 2
-        config, _ = build_config(parse_config_file(args.config), args.seed, args.work)
-        os.makedirs(config.work_dir, exist_ok=True)
+        config = build_config(parse_config_file(args.config), args.seed, args.work)
         with _WorkLock(config.work_dir):
             if args.command == "prepare":
                 cmd_prepare(config)

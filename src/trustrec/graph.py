@@ -1,8 +1,8 @@
-"""Trust-network analysis: communities, centrality, leaders, trust propagation.
+"""Trust-network analysis: communities, PageRank leaders, trust propagation.
 
 Community detection runs on a symmetrized view of the directed trust graph
 (an undirected edge wherever at least one direction exists, weighted by the
-larger of the two values).  Centrality and propagation respect the original
+larger of the two values).  PageRank and propagation respect the original
 edge directions.
 """
 
@@ -12,6 +12,24 @@ import numpy as np
 
 # Gains this close are treated as ties so float noise cannot flip a move.
 _GAIN_EPS = 1e-12
+
+
+@dataclass
+class GraphOptions:
+    """Propagation and leader-selection settings."""
+
+    decay: float = 0.8
+    max_depth: int = 3
+    damping: float = 0.85
+    louvain_seed: int = 0
+
+    def __post_init__(self):
+        if not 0 < self.decay <= 1:
+            raise ValueError("decay must lie in (0, 1]")
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be at least 1")
+        if not 0 <= self.damping < 1:
+            raise ValueError("damping must lie in [0, 1)")
 
 
 def directed_adjacency(graph):
@@ -185,49 +203,6 @@ def pagerank(adjacency, damping=0.85, tol=1e-10, max_iter=None):
     raise RuntimeError(f"pagerank did not converge in {max_iter} iterations")
 
 
-def hits_authority(adjacency, tol=1e-10, max_iter=1000):
-    """Authority scores from the HITS mutual-reinforcement iteration."""
-    from scipy import sparse
-    adjacency = sparse.csr_matrix(adjacency)
-    n = adjacency.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    if adjacency.nnz == 0:
-        return np.full(n, 1.0 / n)
-    auth = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        hub = adjacency @ auth
-        new = adjacency.T @ hub
-        norm = np.linalg.norm(new)
-        if norm == 0:
-            return np.full(n, 1.0 / n)
-        new /= norm
-        if np.abs(new - auth).sum() < tol:
-            return new / new.sum()
-        auth = new
-    raise RuntimeError(f"hits did not converge in {max_iter} iterations")
-
-
-def degree_centrality(adjacency):
-    """In-degree plus out-degree edge counts, normalized to sum to one."""
-    from scipy import sparse
-    adjacency = sparse.csr_matrix(adjacency)
-    n = adjacency.shape[0]
-    counts = np.zeros(n)
-    counts += np.asarray((adjacency != 0).sum(axis=1)).ravel()
-    counts += np.asarray((adjacency != 0).sum(axis=0)).ravel()
-    if counts.sum() == 0:
-        return np.full(n, 1.0 / n) if n else counts
-    return counts / counts.sum()
-
-
-CENTRALITY_METHODS = {
-    "pagerank": pagerank,
-    "hits": hits_authority,
-    "degree": degree_centrality,
-}
-
-
 @dataclass
 class LeaderTable:
     """The most central member of each community.
@@ -246,16 +221,13 @@ class LeaderTable:
         return out
 
 
-def community_leaders(graph, communities, method="pagerank", **kwargs):
-    """Pick each community's leader by centrality within its induced subgraph.
+def community_leaders(graph, communities, damping=0.85):
+    """Pick each community's leader by PageRank within its induced subgraph.
 
-    The method runs on the subgraph of the directed trust graph spanned by
-    the community's members; ties go to the smallest user index.  Singleton
+    PageRank runs on the subgraph of the directed trust graph spanned by the
+    community's members; ties go to the smallest user index.  Singleton
     communities lead themselves.
     """
-    if method not in CENTRALITY_METHODS:
-        raise ValueError(f"unknown centrality method {method!r}")
-    fn = CENTRALITY_METHODS[method]
     adjacency = directed_adjacency(graph)
     labels = communities.labels
     leaders = np.zeros(communities.num_communities, dtype=np.int64)
@@ -265,8 +237,7 @@ def community_leaders(graph, communities, method="pagerank", **kwargs):
             leaders[c] = members[0]
             continue
         sub = adjacency[members][:, members]
-        scores = fn(sub, **kwargs)
-        leaders[c] = members[int(np.argmax(scores))]
+        leaders[c] = members[int(np.argmax(pagerank(sub, damping=damping)))]
     return LeaderTable(leaders, labels)
 
 

@@ -3,6 +3,7 @@
 import os
 import pickle
 import signal
+import sys
 import threading
 
 
@@ -12,7 +13,8 @@ def both(in_worker, here):
     The child shares the caller's memory as it was at the fork, sends back
     its pickled result or exception through a pipe, and ends with
     ``os._exit``.  Its exception is raised here, with its type and message,
-    once ``here`` has returned; if ``here`` raises, the child is killed.
+    once ``here`` has returned; if ``here`` raises, the child is killed, and
+    if this process dies, so does the child (by SIGKILL, on Linux).
     The child is reaped on every path.  With a second thread alive (``fork``
     would copy the locks it holds) or fewer than two CPUs, both calls run
     here, ``here`` first as on the forked path, so the same error wins.
@@ -20,10 +22,16 @@ def both(in_worker, here):
     if threading.active_count() > 1 or len(os.sched_getaffinity(0)) < 2:
         mine = here()
         return in_worker(), mine
+    parent = os.getpid()
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
         try:
+            if sys.platform.startswith("linux"):
+                import ctypes
+                ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
+            if os.getppid() != parent:  # the parent died before that was set
+                os._exit(1)
             os.close(read_end)
             try:
                 outcome = (True, in_worker())

@@ -64,6 +64,21 @@ STAGE_OF_CHANGE = {
 }
 
 
+def config_value(config, key):
+    """The value a built config holds for the dotted ``key``."""
+    section, name = key.split(".")
+    if section in cli.SECTIONS:
+        return getattr(getattr(config, section), name)
+    scale_min, scale_max = config.scale
+    return {
+        "paths.ratings": config.ratings_path,
+        "paths.trust": config.trust_path,
+        "paths.work": config.work_dir,
+        "data.scale_min": scale_min,
+        "data.scale_max": scale_max,
+    }[key]
+
+
 def write_dataset(root):
     rng = np.random.default_rng(0)
     ratings = root / "ratings.txt"
@@ -104,9 +119,12 @@ def workspace(tmp_path):
 class TestConfigParsing:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
-        path.write_text("model.kk = 3\n")
-        with pytest.raises(ConfigError):
-            parse_config_file(path)
+        # graph.centrality is a removed key: PageRank picks every leader
+        for line in ("model.kk = 3\n", "graph.centrality = pagerank\n"):
+            path.write_text(line)
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config_file(path)
+            assert main(["--config", str(path), "prepare"]) == 2
 
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -124,8 +142,10 @@ class TestConfigParsing:
             parse_config_file(tmp_path / "absent.txt")
 
     def test_defaults_fill_every_key(self):
-        config, values = build_config({})
-        assert values.keys() == DEFAULTS.keys()
+        config = build_config({})
+        assert {key: config_value(config, key) for key in DEFAULTS} == {
+            key: default for key, (_, default) in DEFAULTS.items()
+        }
         assert config.model.k == 10
         assert config.walks.walk_length == 80
         assert config.split.train_fraction == 0.8
@@ -139,7 +159,6 @@ class TestConfigParsing:
         for key, value in (
             ("model.k", "0"),
             ("walks.p", "-1.0"),
-            ("graph.centrality", "betweenness"),
             ("graph.decay", "0"),
             ("graph.decay", "1.5"),
             ("graph.max_depth", "0"),
@@ -153,7 +172,7 @@ class TestConfigParsing:
                 build_config({key: value})
 
     def test_hidden_sizes_parse(self):
-        config, _ = build_config({
+        config = build_config({
             "autoencoder.hidden_sizes": "8, 3, 8",
             "walks.dimensions": "3",
             "model.k": "3",
@@ -181,11 +200,11 @@ class TestConfigParsing:
         assert listed == want
 
     def test_seed_override_reaches_every_stage(self):
-        _, values = build_config({}, seed_override=77)
-        assert all(values[key] == 77 for key in _SEED_KEYS)
+        config = build_config({}, seed_override=77)
+        assert all(config_value(config, key) == 77 for key in _SEED_KEYS)
 
     def test_work_override(self):
-        config, _ = build_config({}, work_override="elsewhere")
+        config = build_config({}, work_override="elsewhere")
         assert config.work_dir == "elsewhere"
 
 
@@ -337,10 +356,10 @@ class TestPipeline:
             "data.scale_min = -2\ndata.scale_max = 2\nsplit.train_fraction = 0.6\n"
         )
         assert main(["--config", str(config_file), "prepare"]) == 0
-        config, _ = build_config(parse_config_file(str(config_file)))
-        train_split, test_split, graph = cli._load_prepared(config)
+        config = build_config(parse_config_file(str(config_file)))
+        prep = cli._stage_folders(config, "prepare")["prepare"]
+        train_split, test_split, graph = cli._load_prepared(config, prep)
 
-        prep = cli._current_stage(config.work_dir, "prepare")
         user_map = IdMap.load(os.path.join(prep, "user_map.txt"))
         item_map = IdMap.load(os.path.join(prep, "item_map.txt"))
         for loaded, name in ((train_split, "train.txt"), (test_split, "test.txt")):
@@ -503,12 +522,34 @@ class TestPipeline:
         def unconverged(adjacency, **kwargs):
             raise RuntimeError("pagerank did not converge in 0 iterations")
 
-        monkeypatch.setitem(graph_module.CENTRALITY_METHODS, "pagerank", unconverged)
+        monkeypatch.setattr(graph_module, "pagerank", unconverged)
         config = self.toy_config(tmp_path)
         assert self.run(config, "prepare") == 0
         capsys.readouterr()
         assert self.run(config, "train") == 3
         assert "pagerank did not converge" in capsys.readouterr().err
+
+    def test_evaluate_scores_what_its_own_config_trained(self, tmp_path, capsys):
+        config = self.toy_config(tmp_path)
+        for command in ("prepare", "train", "evaluate"):
+            assert self.run(config, command) == 0
+        scored = capsys.readouterr().out
+        work = tmp_path / "work"
+        pointers = {p.name: p.read_text() for p in work.glob("*.current")}
+        # another config's train fails in its model stage, after its own
+        # embedding stage is done
+        other = tmp_path / "other.txt"
+        other.write_text(Path(config).read_text() + "walks.seed = 5\nmodel.learning_rate = 50\n")
+        with np.errstate(all="ignore"):
+            assert self.run(str(other), "train") == 3
+        assert len(list(work.glob("embed-*"))) == 2
+        capsys.readouterr()
+        assert self.run(config, "evaluate") == 0
+        assert capsys.readouterr().out == scored
+        # the pointers still name the one run that finished
+        assert {p.name: p.read_text() for p in work.glob("*.current")} == pointers
+        assert self.run(str(other), "evaluate") == 2
+        assert "no train stage for this config" in capsys.readouterr().err
 
     def test_damping_near_one_trains(self, tmp_path):
         config = self.toy_config(tmp_path, "graph.damping = 0.99\n")

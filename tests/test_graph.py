@@ -12,11 +12,8 @@ from oracles import (
 from trustrec import graph as graph_module
 from trustrec.data import TrustGraph
 from trustrec.graph import (
-    CENTRALITY_METHODS,
     community_leaders,
-    degree_centrality,
     directed_adjacency,
-    hits_authority,
     louvain,
     modularity,
     pagerank,
@@ -229,25 +226,6 @@ class TestPagerank:
             pagerank(directed_adjacency(complete_graph(5)), damping=damping)
 
 
-class TestOtherCentralities:
-    def test_hits_authority_prefers_sink(self):
-        g = TrustGraph.from_edges(4, [(source, 3, 1.0) for source in (0, 1, 2)])
-        auth = hits_authority(directed_adjacency(g))
-        assert auth[3] > auth[:3].max()
-        assert abs(auth.sum() - 1.0) < 1e-9
-
-    def test_degree_counts_both_directions(self):
-        g = TrustGraph.from_edges(3, [(0, 1, 1.0), (2, 1, 1.0)])
-        scores = degree_centrality(directed_adjacency(g))
-        np.testing.assert_allclose(scores, np.array([1, 2, 1]) / 4)
-
-    def test_dispatch_and_unknown_method(self, triangle_pair):
-        assert CENTRALITY_METHODS == {"pagerank": pagerank, "hits": hits_authority, "degree": degree_centrality}
-        communities = louvain(triangle_pair, seed=0)
-        with pytest.raises(ValueError):
-            community_leaders(triangle_pair, communities, "betweenness")
-
-
 class TestLeaders:
     def test_ties_break_to_smallest_index(self):
         # two mutually trusting pairs: inside each community both members tie
@@ -277,13 +255,13 @@ class TestLeaders:
 
     def test_scored_inside_community_only(self):
         # node 2 collects many external endorsements but sits outside the pair
-        # community {0, 1}; inside it, 1 is endorsed by 0 and must lead
+        # community {0, 1}, which one of its own members must lead
         edges = [(0, 1, 1.0), (1, 0, 0.2)]
         for outsider in (3, 4, 5):
             edges += [(outsider, 2, 1.0), (2, outsider, 1.0)]
         g = TrustGraph.from_edges(6, edges)
         communities = louvain(g, seed=0)
-        table = community_leaders(g, communities, method="degree")
+        table = community_leaders(g, communities)
         pair_community = communities.labels[0]
         assert communities.labels[1] == pair_community
         assert table.leaders[pair_community] in (0, 1)

@@ -48,6 +48,15 @@ def children(pid):
     return found
 
 
+def running(pid):
+    """Whether ``pid`` still runs: not ended, and not a zombie waiting to be reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
 @contextlib.contextmanager
 def second_thread():
     """A live second thread for the duration, which keeps ``parallel.both`` in one process."""
@@ -189,7 +198,10 @@ class TestCommandLine:
             assert workers, "train started no worker"
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=30)
-            assert os.path.exists(f"/proc/{workers[0]}")  # the orphaned worker still runs
+            deadline = time.monotonic() + 5
+            while running(workers[0]) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not running(workers[0]), "the worker outlived its killed parent by 5 s"
             assert main(["--config", config, "prepare"]) == 0  # exit 2 if the lock were held
         finally:
             proc.kill()

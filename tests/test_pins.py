@@ -82,14 +82,14 @@ def library_digests():
     from trustrec.model import TrainingContext, train
     from trustrec.synth import social_bundle
 
-    config, _ = build_config(CONFIG)
+    config = build_config(CONFIG)
     bundle = social_bundle(**BUNDLE)
     graph = bundle.trust
     train_split, test_split = split(bundle.ratings, config.split)
     ae = config.autoencoder
     init_p, init_q = autoencoder_inits(train_split, config.model.k, ae, replace(ae, seed=ae.seed + 1))
     communities = louvain(graph, seed=config.graph.louvain_seed)
-    leaders = community_leaders(graph, communities, config.graph.centrality, damping=config.graph.damping)
+    leaders = community_leaders(graph, communities, damping=config.graph.damping)
     propagated = propagate_trust(graph, config.graph.decay, config.graph.max_depth)
     walks = generate_walks(graph, config.walks)
     table = train_embeddings(walks, graph.num_users, config.walks)
