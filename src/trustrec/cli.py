@@ -126,6 +126,9 @@ def parse_config_file(path):
 
 def build_config(raw, seed_override=None, work_override=None):
     """Typed PipelineConfig from a raw mapping, applying CLI overrides."""
+    for key in raw:
+        if key not in DEFAULTS:
+            raise ConfigError(f"unknown key {key!r}")
     values = {}
     for key, (convert, default) in DEFAULTS.items():
         try:

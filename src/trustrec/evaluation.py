@@ -100,7 +100,6 @@ def run_ablations(ctx, hp, test, ae_init=None, full_params=None):
     trains ``mf+ae`` and ``mf+ae+trust+leader`` while this process trains the
     others (``parallel.both``).  Reports keep the ``ABLATION_TAGS`` order.
     """
-    ctx.validate()
     m, n = ctx.train.num_users, ctx.train.num_items
     base = init_params(m, n, hp)
     random_init = (base.P, base.Q)

@@ -91,13 +91,38 @@ class TrainingContext:
     ``embeddings`` is an (num_users, k) array of node embeddings.
     ``trust``, ``embeddings`` and ``leaders`` may each be None, which disables
     the corresponding objective term; this is how the ablation variants are
-    expressed.
+    expressed.  Building a context checks that its parts agree on the user
+    count and keeps the flat arrays that the objective and SGD read: the
+    inverse rating counts, the trust pairs, and the community members other
+    than the leaders with their ``heads``, empty where a part is None.
     """
 
     train: "RatingMatrix"
     trust: "PropagatedTrust" = None
     embeddings: np.ndarray = None
     leaders: "LeaderTable" = None
+
+    def __post_init__(self):
+        self.validate()
+        self.inv_user = 1.0 / np.maximum(self.train.user_counts(), 1)
+        self.inv_item = 1.0 / np.maximum(self.train.item_counts(), 1)
+        if self.trust is not None:
+            self.pair_u = self.trust.truster
+            self.pair_v = self.trust.trustee
+            self.pair_t = self.trust.values
+        else:
+            self.pair_u = np.zeros(0, dtype=np.int64)
+            self.pair_v = np.zeros(0, dtype=np.int64)
+            self.pair_t = np.zeros(0, dtype=np.float64)
+        # user_leaders[u] = -1 when u leads its own community (or there are none)
+        if self.leaders is not None:
+            user_leaders = self.leaders.user_leaders()
+        else:
+            user_leaders = np.full(self.train.num_users, -1, dtype=np.int64)
+        self.members = np.flatnonzero(user_leaders >= 0)
+        self.heads = user_leaders[self.members]
+        # not a field, so a context made by dataclasses.replace starts empty
+        self._social = {}
 
     def validate(self):
         m = self.train.num_users
@@ -109,56 +134,29 @@ class TrainingContext:
             raise ValueError("leaders and ratings disagree on the user count")
         return self
 
-
-class _Tables:
-    """Flat-array views of a TrainingContext for the objective and SGD."""
-
-    def __init__(self, ctx, k):
-        train = ctx.train
-        m = train.num_users
-        self.inv_user = 1.0 / np.maximum(train.user_counts(), 1)
-        self.inv_item = 1.0 / np.maximum(train.item_counts(), 1)
-
-        if ctx.embeddings is not None:
-            if ctx.embeddings.shape[1] != k:
-                raise ValueError("embedding dimension must equal k")
-            self.X = np.asarray(ctx.embeddings, dtype=np.float64)
-        else:
-            self.X = np.zeros((m, k))
-
-        if ctx.trust is not None:
-            self.pair_u = ctx.trust.truster
-            self.pair_v = ctx.trust.trustee
-            self.pair_t = ctx.trust.values
-        else:
-            self.pair_u = np.zeros(0, dtype=np.int64)
-            self.pair_v = np.zeros(0, dtype=np.int64)
-            self.pair_t = np.zeros(0, dtype=np.float64)
-
-        # leaders[u] = -1 when u leads its own community (or there are none)
-        if ctx.leaders is not None:
-            self.user_leaders = ctx.leaders.user_leaders()
-        else:
-            self.user_leaders = np.full(m, -1, dtype=np.int64)
-        self._social = {}
+    def features(self, k):
+        """The (num_users, k) float64 embedding block; zeros without embeddings."""
+        if self.embeddings is None:
+            return np.zeros((self.train.num_users, k))
+        if self.embeddings.shape[1] != k:
+            raise ValueError("embedding dimension must equal k")
+        return np.asarray(self.embeddings, dtype=np.float64)
 
     def social_operator(self, lam_t, lam_c):
         """Sparse L with (L Pᵀ)[u] the trust-plus-leader part of ∂objective/∂P_u.
 
         L = λ_t·(Laplacian of the pairs as undirected edges of weight t_uv)
-        + λ_c·(Laplacian of the member–leader edges), built once per weight
-        pair and kept; None when it has no entries.
+        + λ_c·(Laplacian of the member–leader edges), built once per context
+        and weight pair and kept; None when it has no entries.
         """
         key = (lam_t, lam_c)
         if key not in self._social:
             from scipy import sparse
-            m = len(self.user_leaders)
-            members = np.flatnonzero(self.user_leaders >= 0)
-            heads = self.user_leaders[members]
-            rows = np.concatenate([self.pair_u, self.pair_v, members, heads])
-            cols = np.concatenate([self.pair_v, self.pair_u, heads, members])
+            m = self.train.num_users
+            rows = np.concatenate([self.pair_u, self.pair_v, self.members, self.heads])
+            cols = np.concatenate([self.pair_v, self.pair_u, self.heads, self.members])
             weights = np.concatenate(
-                [lam_t * self.pair_t, lam_t * self.pair_t, np.full(2 * len(members), float(lam_c))]
+                [lam_t * self.pair_t, lam_t * self.pair_t, np.full(2 * len(self.members), float(lam_c))]
             )
             adjacency = sparse.csr_matrix((weights, (rows, cols)), shape=(m, m))
             op = (sparse.diags(np.asarray(adjacency.sum(axis=1)).ravel()) - adjacency).tocsr()
@@ -185,25 +183,23 @@ def predict(params, embeddings, users, items):
     return (a * params.Q[:, items]).sum(axis=0)
 
 
-def objective(params, ctx, hp, tables=None):
+def objective(params, ctx, hp):
     """Full training objective over the context's train split.
 
     Squared-error term plus ridge penalties on P, Q, W, the propagated-trust
     smoothing term over directed trust pairs, and the community-leader term
     over non-leader members.
     """
-    tables = tables or _Tables(ctx.validate(), hp.k)
     train = ctx.train
     err = predict(params, ctx.embeddings, train.users, train.items) - train.values
     total = 0.5 * err @ err
     total += 0.5 * hp.lam_p * (params.P * params.P).sum()
     total += 0.5 * hp.lam_q * (params.Q * params.Q).sum()
     total += 0.5 * hp.lam_w * params.W @ params.W
-    if len(tables.pair_u):
-        total += 0.5 * hp.lam_t * _trust_term(params.P, tables.pair_u, tables.pair_v, tables.pair_t)
-    members = np.flatnonzero(tables.user_leaders >= 0)
-    if len(members):
-        diff = params.P[:, members] - params.P[:, tables.user_leaders[members]]
+    if len(ctx.pair_u):
+        total += 0.5 * hp.lam_t * _trust_term(params.P, ctx.pair_u, ctx.pair_v, ctx.pair_t)
+    if len(ctx.members):
+        diff = params.P[:, ctx.members] - params.P[:, ctx.heads]
         total += 0.5 * hp.lam_c * (diff * diff).sum()
     return float(total)
 
@@ -232,12 +228,11 @@ def _trust_term(P, pair_u, pair_v, pair_t):
     return d.sum()
 
 
-def gradients(params, ctx, hp, tables=None):
+def gradients(params, ctx, hp):
     """Exact analytic gradient of the objective, as a ModelParams-shaped triple."""
-    tables = tables or _Tables(ctx.validate(), hp.k)
     train = ctx.train
     users, items = train.users, train.items
-    Xg = tables.X[users].T
+    Xg = ctx.features(hp.k)[users].T
     a = params.P[:, users] + params.W[:, None] * Xg
     err = (a * params.Q[:, items]).sum(axis=0) - train.values
 
@@ -251,18 +246,17 @@ def gradients(params, ctx, hp, tables=None):
 
     gW = (Xg * params.Q[:, items]) @ err + hp.lam_w * params.W
 
-    if len(tables.pair_u):
-        diff = hp.lam_t * tables.pair_t * (params.P[:, tables.pair_u] - params.P[:, tables.pair_v])
+    if len(ctx.pair_u):
+        diff = hp.lam_t * ctx.pair_t * (params.P[:, ctx.pair_u] - params.P[:, ctx.pair_v])
         scatter = np.zeros((params.num_users, params.k))
-        add_rows(scatter, tables.pair_u, diff.T)
-        add_rows(scatter, tables.pair_v, -diff.T)
+        add_rows(scatter, ctx.pair_u, diff.T)
+        add_rows(scatter, ctx.pair_v, -diff.T)
         gP += scatter.T
-    members = np.flatnonzero(tables.user_leaders >= 0)
-    if len(members):
-        diff = hp.lam_c * (params.P[:, members] - params.P[:, tables.user_leaders[members]])
+    if len(ctx.members):
+        diff = hp.lam_c * (params.P[:, ctx.members] - params.P[:, ctx.heads])
         scatter = np.zeros((params.num_users, params.k))
-        add_rows(scatter, members, diff.T)
-        add_rows(scatter, tables.user_leaders[members], -diff.T)
+        add_rows(scatter, ctx.members, diff.T)
+        add_rows(scatter, ctx.heads, -diff.T)
         gP += scatter.T
     return gP, gQ, gW
 
@@ -288,7 +282,7 @@ def conflict_free_levels(users, items):
     return np.split(by_level, np.flatnonzero(np.diff(level[by_level])) + 1)
 
 
-def sgd_epoch(params, ctx, hp, rng=None, tables=None):
+def sgd_epoch(params, ctx, hp, rng=None):
     """One SGD pass in a seeded shuffled order; returns new params.
 
     Each conflict-free level of the order is one vectorized step that moves
@@ -304,24 +298,24 @@ def sgd_epoch(params, ctx, hp, rng=None, tables=None):
     ``train`` starts W at zero, where that step would leave it.  Non-finite
     values give NaN or inf, never an error.
     """
-    tables = tables or _Tables(ctx.validate(), hp.k)
+    X = ctx.features(hp.k)
     rng = rng if rng is not None else np.random.default_rng(hp.seed)
     users, items, values = ctx.train.users, ctx.train.items, ctx.train.values
     order = rng.permutation(len(values))
     # row-major copies: one user's or item's factors per contiguous row
     Pt, Qt, W = params.P.T.copy(), params.Q.T.copy(), params.W.copy()
-    social = tables.social_operator(hp.lam_t, hp.lam_c)
+    social = ctx.social_operator(hp.lam_t, hp.lam_c)
     lr = hp.learning_rate
     for level in conflict_free_levels(users[order], items[order]):
         s = order[level]
         u, i = users[s], items[s]
-        pu, qi, xu = Pt[u], Qt[i], tables.X[u]
+        pu, qi, xu = Pt[u], Qt[i], X[u]
         a = pu + W * xu
         e = np.einsum("bk,bk->b", a, qi) - values[s]
-        gp = e[:, None] * qi + (hp.lam_p * tables.inv_user[u])[:, None] * pu
+        gp = e[:, None] * qi + (hp.lam_p * ctx.inv_user[u])[:, None] * pu
         if social is not None:
-            gp += tables.inv_user[u, None] * (social[u] @ Pt)
-        gq = e[:, None] * a + (hp.lam_q * tables.inv_item[i])[:, None] * qi
+            gp += ctx.inv_user[u, None] * (social[u] @ Pt)
+        gq = e[:, None] * a + (hp.lam_q * ctx.inv_item[i])[:, None] * qi
         if ctx.embeddings is not None:
             z = xu * qi
             lhs = (1.0 + lr * len(s) * hp.lam_w / len(values)) * np.eye(hp.k) + lr * (z.T @ z)
@@ -352,7 +346,6 @@ def train(ctx, hp, init_P, init_Q):
     is recorded after every epoch, and training stops early once it has risen
     five epochs in a row.  Returns (best params, objective history).
     """
-    ctx.validate()
     init_P = np.asarray(init_P, dtype=np.float64)
     init_Q = np.asarray(init_Q, dtype=np.float64)
     m, n = ctx.train.num_users, ctx.train.num_items
@@ -361,16 +354,16 @@ def train(ctx, hp, init_P, init_Q):
     if init_Q.shape != (hp.k, n):
         raise ValueError(f"init_Q shape {init_Q.shape}, expected {(hp.k, n)}")
 
-    tables = _Tables(ctx, hp.k)
+    ctx.features(hp.k)  # an embedding width other than k fails here, before any epoch
     params = ModelParams(init_P.copy(), init_Q.copy(), np.zeros(hp.k))
     rng = np.random.default_rng(hp.seed)
     history = []
     best = params.copy()
-    best_value = objective(params, ctx, hp, tables)
+    best_value = objective(params, ctx, hp)
     rising = 0
     for _ in range(hp.epochs):
-        params = sgd_epoch(params, ctx, hp, rng, tables)
-        value = objective(params, ctx, hp, tables)
+        params = sgd_epoch(params, ctx, hp, rng)
+        value = objective(params, ctx, hp)
         if history and value > history[-1]:
             rising += 1
         else:

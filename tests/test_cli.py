@@ -1,4 +1,6 @@
+import errno
 import fcntl
+import io
 import importlib.util
 import json
 import os
@@ -15,6 +17,7 @@ import pytest
 import trustrec
 from trustrec import cli
 from trustrec import graph as graph_module
+from trustrec import serialize
 from trustrec.cli import (
     DEFAULTS,
     ConfigError,
@@ -24,6 +27,7 @@ from trustrec.cli import (
     parse_config_file,
 )
 from trustrec.data import IdMap, load_ratings, load_trust
+from trustrec.model import load_params, save_params
 from trustrec.synth import toy_bundle, write_bundle
 
 BASE_CONFIG = """\
@@ -125,6 +129,9 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config_file(path)
             assert main(["--config", str(path), "prepare"]) == 2
+        # a library caller's mapping gets the same check as a config file
+        with pytest.raises(ConfigError, match="unknown key 'graph.centrality'"):
+            build_config({"graph.centrality": "hits", "model.kk": "3"})
 
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -603,6 +610,24 @@ class TestPipeline:
     def test_report_without_work_or_config_exits_2(self):
         assert main(["report"]) == 2
 
+    def test_stage_command_without_config_exits_2(self, capsys):
+        for command in ("prepare", "train", "evaluate"):
+            assert main([command]) == 2
+            assert f"{command} needs --config" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_exits_3(self, workspace, capsys):
+        tmp_path, config_path = workspace
+        config = config_path()
+        assert self.run(config, "prepare") == 0
+        assert self.run(config, "train") == 0
+        (stage,) = (tmp_path / "work").glob("train-*")
+        params = load_params(stage / "model.ckpt")
+        params.P[0, 0] = np.nan
+        save_params(params, stage / "model.ckpt")
+        capsys.readouterr()
+        assert self.run(config, "evaluate") == 3
+        assert "non-finite rmse for full" in capsys.readouterr().err
+
     def test_report_with_missing_file_exits_2(self, tmp_path):
         assert main(["--work", str(tmp_path), "report"]) == 2
 
@@ -653,3 +678,114 @@ class TestPipeline:
         config = config_path()
         for command in (("prepare",), ("train",), ("evaluate", "--ablate")):
             assert self.run(config, *command) in (0, 2, 3)
+
+
+class Nth:
+    """Stands in for ``real``, except that its ``nth`` call runs ``fail``; counts the calls."""
+
+    def __init__(self, real, nth=None, fail=None):
+        self.real, self.nth, self.fail, self.calls = real, nth, fail, 0
+
+    @property
+    def hit(self):
+        return self.nth is not None and self.calls >= self.nth
+
+    def __call__(self, *args):
+        self.calls += 1
+        return (self.fail if self.calls == self.nth else self.real)(*args)
+
+
+def disk_full(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestCrashSweep:
+    """A write failing at each persistence point of a run, then recovery.
+
+    As in Pillai et al. (OSDI 2014), each ``os.replace`` of a clean
+    ``prepare → train → evaluate`` run fails in turn, and so does each
+    checkpoint write, halfway through its bytes.  The command that hits the
+    fault must fail; ``evaluate`` must then fail or print the clean report;
+    and rerunning all three commands must leave exactly the clean run's
+    files, with no temporary file or folder.
+    """
+
+    COMMANDS = (("prepare",), ("train",), ("evaluate", "--ablate", "--baseline-mean"))
+    SMALL = (
+        "autoencoder.hidden_sizes = 8,4,8\nautoencoder.epochs = 2\nmodel.k = 4\n"
+        "walks.dimensions = 4\nwalks.num_walks = 1\nwalks.walk_length = 10\nmodel.epochs = 3\n"
+    )
+
+    @pytest.fixture
+    def run(self, tmp_path, capsys):
+        """``run(command, work)``: its exit code (None if it raised) and what it printed."""
+        ratings, trust = tmp_path / "ratings.txt", tmp_path / "trust.txt"
+        write_bundle(toy_bundle(0), ratings, trust)
+        config = tmp_path / "config.txt"
+        config.write_text(BASE_CONFIG.format(ratings=ratings, trust=trust, work=tmp_path / "work") + self.SMALL)
+
+        def run(command, work):
+            capsys.readouterr()
+            try:
+                code = main(["--config", str(config), "--work", str(work), *command])
+            except Exception:
+                code = None
+            return code, capsys.readouterr().out
+
+        return run
+
+    @staticmethod
+    def files(work):
+        """Every file under ``work`` by relative path, after checking that none is temporary."""
+        out = {}
+        for root, dirs, names in os.walk(work):
+            assert not [name for name in dirs + names if name.endswith(".tmp")], root
+            for name in names:
+                path = os.path.join(root, name)
+                out[os.path.relpath(path, work)] = Path(path).read_bytes()
+        return out
+
+    def sweep(self, run, tmp_path, target, name, fail):
+        """Fail each call of ``target.name`` in a run in turn by ``fail``; check the recovery."""
+        counter = Nth(getattr(target, name))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(target, name, counter)
+            for command in self.COMMANDS:
+                code, report = run(command, tmp_path / "clean")
+                assert code == 0, command
+        clean = self.files(tmp_path / "clean")
+        assert counter.calls > 0
+        for nth in range(1, counter.calls + 1):
+            work = tmp_path / f"{name}-{nth}"
+            fault = Nth(counter.real, nth, fail)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(target, name, fault)
+                for command in self.COMMANDS:
+                    code, _ = run(command, work)
+                    if fault.hit:
+                        break
+                    assert code == 0, (nth, command)
+            assert fault.hit and code != 0, f"{command} returned 0 when call {nth} of {name} failed"
+            code, printed = run(self.COMMANDS[-1], work)
+            assert code != 0 or printed == report, f"evaluate printed another report after call {nth}"
+            for command in self.COMMANDS:
+                assert run(command, work)[0] == 0, (nth, command)
+            assert self.files(work) == clean, f"a rerun after call {nth} of {name} failed"
+        return counter.calls
+
+    def test_each_replace_fails_in_turn(self, run, tmp_path):
+        # stage folders, checkpoints, .current pointers and report.txt
+        assert self.sweep(run, tmp_path, os, "replace", disk_full) == 17
+
+    def test_each_checkpoint_write_stops_halfway(self, run, tmp_path):
+        write_body = serialize._write_body
+
+        def half_written(fh, *body):
+            whole = io.BytesIO()
+            write_body(whole, *body)
+            data = whole.getvalue()
+            fh.write(data[: 12 + (len(data) - 12) // 2])  # the magic and version, then half the rest
+            disk_full()
+
+        # split, graph, embeddings, codes and model
+        assert self.sweep(run, tmp_path, serialize, "_write_body", half_written) == 5

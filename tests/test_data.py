@@ -54,10 +54,11 @@ class TestLoadRatings:
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "r.txt"
-        path.write_text("0,0,5\n0,nonsense\n")
-        with pytest.raises(DataFormatError) as info:
-            load_ratings(path)
-        assert info.value.line_no == 2
+        for bad in ("0,nonsense", "0,0,abc"):
+            path.write_text(f"0,0,5\n{bad}\n")
+            with pytest.raises(DataFormatError) as info:
+                load_ratings(path)
+            assert info.value.line_no == 2
 
     def test_rating_outside_scale_rejected(self, tmp_path):
         path = tmp_path / "r.txt"
@@ -148,6 +149,14 @@ class TestIdMap:
         loaded = IdMap.load(path)
         assert len(loaded) == 3
         assert [loaded.id_of(i) for i in range(3)] == [5, 3, 11]
+
+    def test_load_rejects_malformed_lines(self, tmp_path):
+        path = tmp_path / "map.txt"
+        for bad, message in (("7,1,2", "expected"), ("7,2", "non-contiguous index 2")):
+            path.write_text(f"5,0\n{bad}\n")
+            with pytest.raises(DataFormatError, match=message) as info:
+                IdMap.load(path)
+            assert info.value.line_no == 2
 
 
 class TestRatingsRoundTrip:
@@ -326,10 +335,11 @@ class TestLoadTrust:
 
     def test_unparseable_line_reports_line_number(self, tmp_path):
         path = tmp_path / "t.txt"
-        path.write_text("1,2\nnot trust\n")
-        with pytest.raises(DataFormatError) as info:
-            load_trust(path, IdMap())
-        assert info.value.line_no == 2
+        for bad in ("not trust", "1,3,0.5,7", "1,3,1.5"):
+            path.write_text(f"1,2\n{bad}\n")
+            with pytest.raises(DataFormatError) as info:
+                load_trust(path, IdMap())
+            assert info.value.line_no == 2
 
     def test_round_trip(self, tmp_path):
         g = TrustGraph.from_edges(3, [(0, 2, 0.75), (2, 1, 1.0)])

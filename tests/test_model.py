@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from trustrec.model import (
     HyperParams,
     ModelParams,
     TrainingContext,
-    _Tables,
     conflict_free_levels,
     gradients,
     init_params,
@@ -90,6 +90,16 @@ class TestParams:
                 train=ratings,
                 leaders=LeaderTable(np.array([0]), np.array([0, 0, 0])),
             ).validate()
+
+
+    def test_replaced_context_builds_its_own_operator(self, make_context):
+        # the ablation ladder makes its rungs with dataclasses.replace; a rung
+        # without trust or leaders must not inherit the full context's operator
+        ctx = make_context(np.random.default_rng(3), 8, 5, 2)
+        assert ctx.social_operator(0.1, 0.1) is not None
+        reduced = replace(ctx, trust=None, leaders=None)
+        assert reduced.social_operator(0.1, 0.1) is None
+        assert ctx.social_operator(0.1, 0.1) is not None
 
 
 class TestPredict:
@@ -238,10 +248,9 @@ class TestTrustTermBlocks:
         params, ratings, trust = self.trust_case(np.random.default_rng(0), num_pairs, k, m=1000)
         ctx = TrainingContext(train=ratings, trust=trust)
         hp = plain_hp(k=k, lam_t=0.3)
-        tables = _Tables(ctx, k)
         tracemalloc.start()
         try:
-            objective(params, ctx, hp, tables)
+            objective(params, ctx, hp)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -485,9 +494,9 @@ class TestLevelScheduledEpoch:
         params = ModelParams(rng.normal(size=(3, 10)), rng.normal(size=(3, 6)), rng.normal(size=3))
         hp = plain_hp(k=3, lam_t=0.3, lam_c=0.7)
         social = gradients(params, ctx, hp)[0] - gradients(params, ctx, plain_hp(k=3))[0]
-        op = _Tables(ctx, 3).social_operator(0.3, 0.7)
+        op = ctx.social_operator(0.3, 0.7)
         np.testing.assert_allclose((op @ params.P.T).T, social, rtol=0, atol=1e-12)
-        assert _Tables(ctx, 3).social_operator(0.0, 0.0) is None
+        assert ctx.social_operator(0.0, 0.0) is None
 
     def test_shared_gate_takes_a_stable_step(self):
         # 200 ratings on distinct users and items form a single level coupled
@@ -538,6 +547,13 @@ class TestTrain:
             train(TrainingContext(train=ratings), hp, np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(ValueError):
             train(TrainingContext(train=ratings), hp, np.zeros((2, 2)), np.zeros((2, 2)))
+
+    def test_embedding_width_must_equal_k(self):
+        ratings = one_rating(value=4.0, m=2, n=3)
+        ctx = TrainingContext(train=ratings, embeddings=np.zeros((2, 3)))
+        for epochs in (0, 1):
+            with pytest.raises(ValueError, match="embedding dimension"):
+                train(ctx, plain_hp(epochs=epochs), np.zeros((2, 2)), np.zeros((2, 3)))
 
     def test_early_stop_after_five_rising_epochs(self):
         # a single rating with an oversized step diverges deterministically,
