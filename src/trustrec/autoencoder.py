@@ -206,20 +206,14 @@ def forward(model, x):
     return acts, pres
 
 
-def masked_mse(reconstruction, targets, mask=None):
+def masked_mse(reconstruction, targets, mask):
     """Mean squared error over observed positions only.
 
-    The divisor is the observed count across the whole batch.  With ``mask``
-    None every position given is observed, as for values at a RatingRows'
-    stored positions.  A mask that selects nothing leaves the loss undefined
-    and is rejected.
+    The divisor is the observed count across the whole batch.  A mask that
+    selects nothing leaves the loss undefined and is rejected.
     """
-    diff = targets - reconstruction
-    if mask is None:
-        observed = diff.size
-    else:
-        observed = mask.sum()
-        diff = diff * mask
+    diff = (targets - reconstruction) * mask
+    observed = mask.sum()
     if observed == 0:
         raise ValueError("mask selects no positions")
     return float((diff * diff).sum() / observed)

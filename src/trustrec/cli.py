@@ -9,7 +9,7 @@ changed program never reads artifacts that another version wrote.  All stages
 are seeded and artifacts carry no timestamps: identical configs produce
 byte-identical outputs.
 
-Exit codes: 0 success, 2 usage or input error, 3 numeric failure.
+Exit codes: 0 success, 2 usage, input or I/O error, 3 numeric failure.
 """
 
 import argparse
@@ -186,11 +186,8 @@ def _stage_key(*chunks):
 
 
 def _hash_file(path):
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 # the file of each stage that the train stage reads, in its key's order
@@ -370,20 +367,16 @@ def _load_context(folders, train_split):
 def cmd_train(config):
     """Autoencoders, graph analysis, embeddings, then factor-model SGD.
 
-    When the autoencoder stage is not cached, a forked worker computes its
-    codes while this process runs the graph and embedding stages
-    (``parallel.both``); the codes are then written here like any stage's
-    files, so the worker writes nothing in the work directory.  The
+    The autoencoder stage forks a worker that computes the codes while this
+    process runs the graph and embedding stages (``parallel.both``); the codes
+    are then checked and written here like any stage's files, so the worker
+    writes nothing in the work directory.  When the autoencoder stage is
+    cached, the graph and embedding stages run after it.  The
     ``<stage>.current`` pointers move only once the last stage is done.
     """
     folders = _stage_folders(config, "prepare")
     # loaded at most once, and only if some stage misses the cache
     prepared = functools.cache(lambda: _load_prepared(config, folders["prepare"]))
-
-    def codes():
-        user_cfg = config.autoencoder
-        item_cfg = replace(user_cfg, seed=user_cfg.seed + 1)
-        return evaluation.autoencoder_inits(prepared()[0], config.model.k, user_cfg, item_cfg)
 
     def graph(out):
         _, _, trust = prepared()
@@ -412,18 +405,17 @@ def cmd_train(config):
         _run_stage(folders["graph"], graph)
         _run_stage(folders["embed"], embed)
 
-    if os.path.isdir(folders["autoencoder"]):
-        ae_codes, _ = None, trust_stages()
-    else:
-        prepared()  # before the fork, so that both sides share one load
-        ae_codes, _ = parallel.both(codes, trust_stages)
-
     def autoencoder(out):
-        init_p, init_q = ae_codes
+        train_split = prepared()[0]  # before the fork, so that both sides share one load
+        user_cfg = config.autoencoder
+        item_cfg = replace(user_cfg, seed=user_cfg.seed + 1)
+        codes = functools.partial(evaluation.autoencoder_inits, train_split, config.model.k, user_cfg, item_cfg)
+        (init_p, init_q), _ = parallel.both(codes, trust_stages)
         _check_finite("autoencoder codes", init_p, init_q)
         save_checkpoint(os.path.join(out, "codes.ckpt"), "ae-codes", {"init_P": init_p, "init_Q": init_q})
 
     _run_stage(folders["autoencoder"], autoencoder)
+    trust_stages()  # a no-op after the fork above; makes the two stages when the codes were cached
 
     def model(out):
         ctx, (init_p, init_q) = _load_context(folders, prepared()[0])
@@ -498,19 +490,16 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "report":
-            work = args.work
-            if work is None and args.config:
-                work = build_config(parse_config_file(args.config), args.seed, args.work).work_dir
-            if work is None:
-                print("report needs --work or --config", file=sys.stderr)
-                return 2
-            cmd_report(work)
+        if args.command == "report" and args.work is not None:
+            cmd_report(args.work)
             return 0
         if not args.config:
-            print(f"{args.command} needs --config", file=sys.stderr)
-            return 2
+            needs = "--config or --work" if args.command == "report" else "--config"
+            raise ConfigError(f"{args.command} needs {needs}")
         config = build_config(parse_config_file(args.config), args.seed, args.work)
+        if args.command == "report":
+            cmd_report(config.work_dir)
+            return 0
         with _WorkLock(config.work_dir):
             if args.command == "prepare":
                 cmd_prepare(config)
@@ -518,7 +507,7 @@ def main(argv=None):
                 cmd_train(config)
             elif args.command == "evaluate":
                 cmd_evaluate(config, ablate=args.ablate, baseline_mean=args.baseline_mean)
-    except (ConfigError, DataFormatError, CheckpointError, FileNotFoundError) as exc:
+    except (ConfigError, DataFormatError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -14,7 +14,8 @@ def both(in_worker, here):
     its pickled result or exception through a pipe, and ends with
     ``os._exit``.  Its exception is raised here, with its type and message,
     once ``here`` has returned; if ``here`` raises, the child is killed, and
-    if this process dies, so does the child (by SIGKILL, on Linux).
+    if this process dies, so does the child (by SIGKILL, on Linux).  A child
+    that ends without a result raises ``ChildProcessError``, an ``OSError``.
     The child is reaped on every path.  With a second thread alive (``fork``
     would copy the locks it holds) or fewer than two CPUs, both calls run
     here, ``here`` first as on the forked path, so the same error wins.
@@ -57,7 +58,7 @@ def both(in_worker, here):
     finally:
         _, status = os.waitpid(pid, 0)
     if not payload:
-        raise RuntimeError(f"worker process ended without a result (wait status {status})")
+        raise ChildProcessError(f"worker process ended without a result (wait status {status})")
     ok, value = pickle.loads(payload)
     if not ok:
         raise value

@@ -354,6 +354,10 @@ class TestSparseMatchesDenseOracle:
         with pytest.raises(ValueError):
             loss_and_gradients(init_autoencoder(3, tiny_config(), np.random.default_rng(0)), rows, np.ones((2, 3)))
 
+    def test_mask_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="shapes differ"):
+            RatingRows.from_dense(np.ones((2, 3)), np.ones((3, 2)))
+
 
 class TestOutputWeightLayout:
     """W_L is stored column-major; results depend only on its values."""

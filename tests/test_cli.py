@@ -172,6 +172,9 @@ class TestConfigParsing:
             ("graph.damping", "1.5"),
             ("graph.damping", "-0.1"),
             ("walks.learning_rate", "0"),
+            ("split.train_fraction", "0"),
+            ("split.train_fraction", "1.0"),
+            ("autoencoder.hidden_sizes", "8,0,8"),
             *((key, "-1") for key in _SEED_KEYS),
             *((key, "nan") for key in _NAN_KEYS),
         ):
@@ -607,8 +610,9 @@ class TestPipeline:
             child.stdout.close()
         assert self.run(config, "prepare") == 0
 
-    def test_report_without_work_or_config_exits_2(self):
+    def test_report_without_work_or_config_exits_2(self, capsys):
         assert main(["report"]) == 2
+        assert "report needs --config or --work" in capsys.readouterr().err
 
     def test_stage_command_without_config_exits_2(self, capsys):
         for command in ("prepare", "train", "evaluate"):
@@ -705,7 +709,7 @@ class TestCrashSweep:
     As in Pillai et al. (OSDI 2014), each ``os.replace`` of a clean
     ``prepare → train → evaluate`` run fails in turn, and so does each
     checkpoint write, halfway through its bytes.  The command that hits the
-    fault must fail; ``evaluate`` must then fail or print the clean report;
+    fault must exit 2; ``evaluate`` must then fail or print the clean report;
     and rerunning all three commands must leave exactly the clean run's
     files, with no temporary file or folder.
     """
@@ -765,7 +769,7 @@ class TestCrashSweep:
                     if fault.hit:
                         break
                     assert code == 0, (nth, command)
-            assert fault.hit and code != 0, f"{command} returned 0 when call {nth} of {name} failed"
+            assert fault.hit and code == 2, f"{command} returned {code} when call {nth} of {name} failed"
             code, printed = run(self.COMMANDS[-1], work)
             assert code != 0 or printed == report, f"evaluate printed another report after call {nth}"
             for command in self.COMMANDS:

@@ -414,9 +414,24 @@ class TestValidate:
             ratings.validate()
 
     def test_out_of_range_index_rejected(self):
-        ratings = RatingMatrix(2, 2, [0, 2], [0, 1], [2.0, 3.0])
-        with pytest.raises(ValueError):
-            ratings.validate()
+        for users, items, values, message in (
+            ([0, 2], [0, 1], [2.0, 3.0], "user index out of range"),
+            ([0, 1], [0], [2.0, 3.0], "equal length"),
+            ([0, 1], [0, 2], [2.0, 3.0], "item index out of range"),
+            ([0, 1], [0, 1], [2.0, 6.0], "rating outside scale"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                RatingMatrix(2, 2, users, items, values).validate()
+        ratings = RatingMatrix(2, 2, [0, 1], [0, 1], [2.0, 3.0])
+        graph = TrustGraph.from_edges(2, [(0, 1, 1.0)])
+        for call, message in (
+            (lambda: ratings.with_num_users(1), "shrink"),
+            (lambda: split(RatingMatrix(2, 2, [], [], []), SplitSpec()), "empty"),
+            (lambda: subsample_top_trust_users(ratings, graph, 0), "count"),
+            (lambda: subsample_top_trust_users(ratings, graph, 3), "count"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestSubsample:

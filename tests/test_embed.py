@@ -68,6 +68,9 @@ class TestStepDistribution:
         candidates, probs = step_distribution(adj, 0, 1, 2.0, 3.0)
         assert candidates.tolist() == [0]
         assert probs.tolist() == [1.0]
+        # a node with no neighbour has an empty distribution
+        candidates, probs = step_distribution(sparse.csr_matrix((1, 1)), None, 0, 2.0, 3.0)
+        assert len(candidates) == len(probs) == 0
 
     def test_edge_weights_scale_probabilities(self):
         g = TrustGraph.from_edges(3, [(1, 0, 0.9), (1, 2, 0.3)])

@@ -189,6 +189,7 @@ class TestPagerank:
     def test_single_node(self):
         scores = pagerank(sparse.csr_matrix((1, 1)))
         assert scores.tolist() == [1.0]
+        assert pagerank(sparse.csr_matrix((0, 0))).shape == (0,)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(5)

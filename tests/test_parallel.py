@@ -57,6 +57,16 @@ def running(pid):
         return False
 
 
+TEST_PROCESS = os.getpid()
+
+
+def die_in_worker(*args):
+    """End a forked worker at once, sending no result; in this process, raise instead."""
+    if os.getpid() == TEST_PROCESS:
+        raise AssertionError("the worker ran in the test process")
+    os._exit(1)
+
+
 @contextlib.contextmanager
 def second_thread():
     """A live second thread for the duration, which keeps ``parallel.both`` in one process."""
@@ -130,6 +140,11 @@ class TestBoth:
         with pytest.raises(RuntimeError, match="Local: not importable by name"):
             parallel.both(fail, lambda: None)
 
+    def test_worker_ending_without_a_result_raises_child_process_error(self, two_cpus):
+        with pytest.raises(ChildProcessError, match="ended without a result"):
+            parallel.both(die_in_worker, lambda: None)
+        assert children(os.getpid()) == []
+
     def test_failing_here_kills_and_reaps_the_worker(self, two_cpus):
         def fail():
             raise ValueError("here failed")
@@ -178,6 +193,15 @@ class TestCommandLine:
         assert str(error) in forked
         worker_pid, here_pid = map(int, pids.read_text().split())
         assert worker_pid != os.getpid() and here_pid == os.getpid()
+
+    def test_dead_worker_exits_2(self, pipeline, two_cpus, monkeypatch, capsys):
+        config = pipeline()
+        assert main(["--config", config, "prepare"]) == 0
+        monkeypatch.setattr(evaluation, "autoencoder_inits", die_in_worker)
+        assert main(["--config", config, "train"]) == 2
+        assert "worker process ended without a result" in capsys.readouterr().err
+        assert children(os.getpid()) == []
+        assert main(["--config", config, "prepare"]) == 0  # exit 2 if the lock were held
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the CLI forks only with two CPUs")
     def test_killed_train_leaves_the_lock_free(self, pipeline):
