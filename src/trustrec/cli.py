@@ -186,8 +186,11 @@ def _stage_key(*chunks):
 
 
 def _hash_file(path):
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 # the file of each stage that the train stage reads, in its key's order
@@ -368,11 +371,10 @@ def cmd_train(config):
     """Autoencoders, graph analysis, embeddings, then factor-model SGD.
 
     The autoencoder stage forks a worker that computes the codes while this
-    process runs the graph and embedding stages (``parallel.both``); the codes
-    are then checked and written here like any stage's files, so the worker
-    writes nothing in the work directory.  When the autoencoder stage is
-    cached, the graph and embedding stages run after it.  The
-    ``<stage>.current`` pointers move only once the last stage is done.
+    process runs the graph and embedding stages (``parallel.both``), then
+    checks and writes the codes here, so the worker writes nothing in the
+    work directory; with the codes cached, those two stages run after it.
+    The ``<stage>.current`` pointers move only once the last stage is done.
     """
     folders = _stage_folders(config, "prepare")
     # loaded at most once, and only if some stage misses the cache
