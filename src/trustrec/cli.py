@@ -27,27 +27,10 @@ import numpy as np
 from . import evaluation, parallel
 from .autoencoder import AutoencoderConfig
 from .data import (
-    DataFormatError,
-    IdMap,
-    RatingMatrix,
-    SplitSpec,
-    TrustGraph,
-    load_ratings,
-    load_trust,
-    save_ratings,
-    save_trust,
-    split,
-    global_mean,
+    DataFormatError, IdMap, SplitSpec, global_mean, load_prepared, load_ratings, load_trust, save_prepared, split,
 )
 from .embed import WalkConfig, node_embeddings
-from .graph import (
-    GraphOptions,
-    LeaderTable,
-    PropagatedTrust,
-    community_leaders,
-    louvain,
-    propagate_trust,
-)
+from .graph import GraphOptions, community_leaders, load_graph, louvain, propagate_trust, save_graph
 from .model import HyperParams, TrainingContext, load_params, save_params, train
 from .serialize import CheckpointError, load_checkpoint, replace_on_success, save_checkpoint
 
@@ -143,6 +126,9 @@ def build_config(raw, seed_override=None, work_override=None):
     for key in _SEED_KEYS:
         if values[key] < 0:
             raise ConfigError(f"bad value for {key}: seeds must be non-negative, got {values[key]}")
+    if not values["data.scale_min"] < values["data.scale_max"]:
+        raise ConfigError(f"data.scale_min = {values['data.scale_min']} must lie below "
+                          f"data.scale_max = {values['data.scale_max']}")
     try:
         config = PipelineConfig(
             ratings_path=values["paths.ratings"],
@@ -255,8 +241,8 @@ class _WorkLock:
     next one; the empty lock file itself stays in place.  A forked worker
     closes its copy of the descriptor at once (see ``_drop_locks``), so the
     lock never outlives the command that took it.  Once held, the lock's
-    owner removes the ``<stage>-<key>.tmp`` folders that failed or killed
-    commands left behind.
+    owner removes the temporary files and folders (``*.tmp``) that failed or
+    killed commands left behind.
     """
 
     held = set()  # descriptors of the locks this process holds
@@ -275,8 +261,11 @@ class _WorkLock:
             raise ConfigError(f"work directory is locked ({self.path}); is another command running?") from None
         self.fd = fd
         _WorkLock.held.add(fd)
-        for stale in glob.glob(os.path.join(glob.escape(os.path.dirname(self.path)), "*-*.tmp")):
-            shutil.rmtree(stale, ignore_errors=True)
+        for stale in glob.glob(os.path.join(glob.escape(os.path.dirname(self.path)), "*.tmp")):
+            if os.path.isdir(stale):
+                shutil.rmtree(stale, ignore_errors=True)
+            else:
+                os.remove(stale)
         return self
 
     def __exit__(self, *exc):
@@ -307,38 +296,10 @@ def cmd_prepare(config):
         train_split, test_split = split(ratings, config.split)
         if not (len(train_split) and len(test_split)):
             raise ConfigError(f"the split leaves {len(train_split)} train and {len(test_split)} test ratings")
-        save_ratings(train_split, os.path.join(out, "train.txt"), user_map, item_map)
-        save_ratings(test_split, os.path.join(out, "test.txt"), user_map, item_map)
-        user_map.save(os.path.join(out, "user_map.txt"))
-        item_map.save(os.path.join(out, "item_map.txt"))
-        save_trust(trust, os.path.join(out, "trust.txt"), user_map)
-        # the same data in internal indices, so later commands parse no text
-        arrays = {name: np.column_stack([s.users, s.items, s.values])
-                  for name, s in (("train", train_split), ("test", test_split))}
-        arrays["trust"] = np.column_stack([trust.rows(), trust.indices, trust.data])
-        meta = {"num_users": ratings.num_users, "num_items": ratings.num_items}
-        save_checkpoint(os.path.join(out, "split.ckpt"), "split", arrays, meta)
+        save_prepared(out, train_split, test_split, trust, user_map, item_map)
 
     _run_stage(folders["prepare"], produce)
     _point_at(config.work_dir, {"prepare": folders["prepare"]})
-
-
-def _load_prepared(config, folder, trust=True):
-    """Train split, test split and trust graph (None unless asked for) from ``folder/split.ckpt``.
-
-    Each equals a reparse of the prepared text files through the saved id
-    maps: the trust columns are the graph's CSR rows in order, so every later
-    stage sees the same neighbor order.
-    """
-    _, arrays, meta = load_checkpoint(os.path.join(folder, "split.ckpt"), expect_kind="split")
-    num_users, num_items = meta["num_users"], meta["num_items"]
-
-    def ratings(name):
-        users, items, values = np.ascontiguousarray(arrays[name].T)
-        return RatingMatrix(num_users, num_items, users, items, values, *config.scale)
-
-    graph = TrustGraph(num_users, *arrays["trust"].T) if trust else None
-    return ratings("train"), ratings("test"), graph
 
 
 def _check_finite(name, *arrays):
@@ -355,15 +316,8 @@ def _load_embeddings(folders):
 def _load_context(folders, train_split):
     """Training context and autoencoder codes from the checkpoints in the stage ``folders``."""
     _, codes, _ = load_checkpoint(os.path.join(folders["autoencoder"], "codes.ckpt"), expect_kind="ae-codes")
-    _, arrays, meta = load_checkpoint(os.path.join(folders["graph"], "graph.ckpt"), expect_kind="graph")
-    labels = arrays["labels"].astype(np.int64)
-    truster, trustee, trust = arrays["pairs"].T
-    ctx = TrainingContext(
-        train_split,
-        trust=PropagatedTrust(truster, trustee, trust, meta["num_users"]),
-        embeddings=_load_embeddings(folders),
-        leaders=LeaderTable(arrays["leaders"].astype(np.int64), labels),
-    )
+    trust, leaders = load_graph(os.path.join(folders["graph"], "graph.ckpt"))
+    ctx = TrainingContext(train_split, trust=trust, embeddings=_load_embeddings(folders), leaders=leaders)
     return ctx, (codes["init_P"], codes["init_Q"])
 
 
@@ -378,7 +332,7 @@ def cmd_train(config):
     """
     folders = _stage_folders(config, "prepare")
     # loaded at most once, and only if some stage misses the cache
-    prepared = functools.cache(lambda: _load_prepared(config, folders["prepare"]))
+    prepared = functools.cache(lambda: load_prepared(folders["prepare"], config.scale))
 
     def graph(out):
         _, _, trust = prepared()
@@ -388,14 +342,7 @@ def cmd_train(config):
         except RuntimeError as exc:  # a PageRank iteration that does not converge
             raise NumericError(str(exc)) from None
         propagated = propagate_trust(trust, config.graph.decay, config.graph.max_depth)
-        arrays = {
-            "labels": communities.labels,
-            "modularity": np.array([communities.modularity]),
-            "leaders": leaders.leaders,
-            "pairs": np.column_stack([propagated.truster, propagated.trustee, propagated.values]),
-        }
-        meta = {"num_communities": communities.num_communities, "num_users": trust.num_users}
-        save_checkpoint(os.path.join(out, "graph.ckpt"), "graph", arrays, meta)
+        save_graph(os.path.join(out, "graph.ckpt"), communities, leaders, propagated)
 
     def embed(out):
         _, _, trust = prepared()
@@ -440,7 +387,7 @@ def cmd_evaluate(config, ablate=False, baseline_mean=False):
     The ladder reads propagated trust from ``graph.ckpt``, not ``trust.txt``.
     """
     folders = _stage_folders(config, "prepare", *_TRAIN_INPUTS, "train")
-    train_split, test_split, _ = _load_prepared(config, folders["prepare"], trust=False)
+    train_split, test_split, _ = load_prepared(folders["prepare"], config.scale)
     params = load_params(os.path.join(folders["train"], "model.ckpt"))
     if ablate:
         ctx, ae_init = _load_context(folders, train_split)

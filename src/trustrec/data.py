@@ -9,8 +9,11 @@ whitespace-separated.  Lines starting with ``#`` are comments.
 
 In memory a RatingMatrix holds (user, item, value) columns sorted by (user,
 item), and a TrustGraph holds its edges as CSR rows, one per truster.
+
+``save_prepared`` and ``load_prepared`` keep a split in those files plus ``split.ckpt``.
 """
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -294,6 +297,38 @@ def save_trust(graph, path, user_map):
     with open(path, "w") as fh:
         for u, v, t in graph.edges():
             fh.write(f"{user_map.id_of(u)},{user_map.id_of(v)},{float(t)!r}\n")
+
+
+# The two functions below import serialize when called: perfbench imports this module
+# into the process that times the commands, and each command's peak-RSS reading starts
+# from that process's high-water mark, so importing it there loads no other trustrec module.
+def save_prepared(folder, train, test, trust, user_map, item_map):
+    """Write the split's text files into ``folder``, then ``split.ckpt``: the same data in
+    internal indices, trust as the graph's CSR rows in order, so later stages parse no text."""
+    from .serialize import save_checkpoint
+
+    save_ratings(train, os.path.join(folder, "train.txt"), user_map, item_map)
+    save_ratings(test, os.path.join(folder, "test.txt"), user_map, item_map)
+    user_map.save(os.path.join(folder, "user_map.txt"))
+    item_map.save(os.path.join(folder, "item_map.txt"))
+    save_trust(trust, os.path.join(folder, "trust.txt"), user_map)
+    arrays = {name: np.column_stack([s.users, s.items, s.values]) for name, s in (("train", train), ("test", test))}
+    arrays["trust"] = np.column_stack([trust.rows(), trust.indices, trust.data])
+    meta = {"num_users": train.num_users, "num_items": train.num_items}
+    save_checkpoint(os.path.join(folder, "split.ckpt"), "split", arrays, meta)
+
+
+def load_prepared(folder, scale):
+    """(train, test, trust) from ``folder/split.ckpt``, each equal to a reparse of the text files."""
+    from .serialize import load_checkpoint
+
+    _, arrays, meta = load_checkpoint(os.path.join(folder, "split.ckpt"), expect_kind="split")
+    num_users, num_items = meta["num_users"], meta["num_items"]
+
+    def ratings(name):
+        return RatingMatrix(num_users, num_items, *np.ascontiguousarray(arrays[name].T), *scale)
+
+    return ratings("train"), ratings("test"), TrustGraph(num_users, *arrays["trust"].T)
 
 
 def split(ratings, spec):

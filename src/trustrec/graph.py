@@ -4,11 +4,15 @@ Community detection runs on a symmetrized view of the directed trust graph
 (an undirected edge wherever at least one direction exists, weighted by the
 larger of the two values).  PageRank and propagation respect the original
 edge directions.
+
+``save_graph`` and ``load_graph`` write and read the graph stage's ``graph.ckpt``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .serialize import load_checkpoint, save_checkpoint
 
 # Gains this close are treated as ties so float noise cannot flip a move.
 _GAIN_EPS = 1e-12
@@ -300,6 +304,25 @@ def propagate_trust(graph, decay=0.8, max_depth=3):
     ]
     columns = [np.concatenate(c) for c in zip(*blocks)] if blocks else ([], [], [])
     return PropagatedTrust(*columns, graph.num_users)
+
+
+def save_graph(path, communities, leaders, propagated):
+    """Write a CommunityAssignment, its LeaderTable and a PropagatedTrust to ``path``."""
+    arrays = {
+        "labels": communities.labels,
+        "modularity": np.array([communities.modularity]),
+        "leaders": leaders.leaders,
+        "pairs": np.column_stack([propagated.truster, propagated.trustee, propagated.values]),
+    }
+    meta = {"num_communities": communities.num_communities, "num_users": propagated.num_users}
+    save_checkpoint(path, "graph", arrays, meta)
+
+
+def load_graph(path):
+    """(PropagatedTrust, LeaderTable) from a ``save_graph`` checkpoint."""
+    _, arrays, meta = load_checkpoint(path, expect_kind="graph")
+    leaders, labels = (arrays[name].astype(np.int64) for name in ("leaders", "labels"))
+    return PropagatedTrust(*arrays["pairs"].T, meta["num_users"]), LeaderTable(leaders, labels)
 
 
 def _propagate_block(graph, out_degree, source, node, product, decay, max_depth):

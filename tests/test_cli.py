@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import trustrec
-from trustrec import cli
+from trustrec import cli, data
 from trustrec import graph as graph_module
 from trustrec import serialize
 from trustrec.cli import (
@@ -177,6 +177,10 @@ class TestConfigParsing:
             ("autoencoder.hidden_sizes", "8,0,8"),
             *((key, "-1") for key in _SEED_KEYS),
             *((key, "nan") for key in _NAN_KEYS),
+            ("data.scale_min", "nan"),
+            ("data.scale_max", "nan"),
+            ("data.scale_min", "6"),
+            ("data.scale_max", "1"),
         ):
             with pytest.raises(ConfigError):
                 build_config({key: value})
@@ -296,13 +300,13 @@ class TestPipeline:
         assert self.run(config, "train") == 0
         assert loaded == []
 
-    def interrupt_then_rerun(self, workspace, monkeypatch, command, writer):
-        """Crash ``command`` right after ``writer`` has written; the stage's files after a rerun."""
+    def interrupt_then_rerun(self, workspace, monkeypatch, command, module, writer):
+        """Crash ``command`` right after ``module.writer`` has written; the stage's files after a rerun."""
         tmp_path, config_path = workspace
         config = config_path()
         if command == "train":
             assert self.run(config, "prepare") == 0
-        write = getattr(cli, writer)
+        write = getattr(module, writer)
 
         class Interrupted(Exception):
             pass
@@ -311,13 +315,13 @@ class TestPipeline:
             write(*args, **kwargs)
             raise Interrupted
 
-        monkeypatch.setattr(cli, writer, write_then_crash)
+        monkeypatch.setattr(module, writer, write_then_crash)
         with pytest.raises(Interrupted):
             self.run(config, command)
         work = tmp_path / "work"
         # a half-made stage is never taken for a finished one
         assert all(d.endswith(".tmp") for d in os.listdir(work) if d.startswith(command + "-"))
-        monkeypatch.setattr(cli, writer, write)
+        monkeypatch.setattr(module, writer, write)
         assert self.run(config, command) == 0
         stage = [d for d in os.listdir(work) if d.startswith(command + "-")]
         assert len(stage) == 1
@@ -325,11 +329,11 @@ class TestPipeline:
         return sorted(os.listdir(work / stage[0]))
 
     def test_train_interrupted_after_checkpoint_is_redone(self, workspace, monkeypatch):
-        files = self.interrupt_then_rerun(workspace, monkeypatch, "train", "save_params")
+        files = self.interrupt_then_rerun(workspace, monkeypatch, "train", cli, "save_params")
         assert files == ["model.ckpt", "objective.log"]
 
     def test_prepare_interrupted_mid_write_is_redone(self, workspace, monkeypatch):
-        files = self.interrupt_then_rerun(workspace, monkeypatch, "prepare", "save_trust")
+        files = self.interrupt_then_rerun(workspace, monkeypatch, "prepare", data, "save_trust")
         assert files == ["item_map.txt", "split.ckpt", "test.txt", "train.txt", "trust.txt", "user_map.txt"]
 
     def test_evaluate_parses_only_what_it_scores(self, workspace, monkeypatch):
@@ -368,7 +372,7 @@ class TestPipeline:
         assert main(["--config", str(config_file), "prepare"]) == 0
         config = build_config(parse_config_file(str(config_file)))
         prep = cli._stage_folders(config, "prepare")["prepare"]
-        train_split, test_split, graph = cli._load_prepared(config, prep)
+        train_split, test_split, graph = data.load_prepared(prep, config.scale)
 
         user_map = IdMap.load(os.path.join(prep, "user_map.txt"))
         item_map = IdMap.load(os.path.join(prep, "item_map.txt"))
@@ -419,10 +423,16 @@ class TestPipeline:
         assert not special(ablate)
 
     def test_package_import_loads_no_submodule(self):
-        probe = "import json, sys, trustrec\nprint(json.dumps(sorted(m for m in sys.modules if 'trustrec' in m)))\n"
+        # the second is what perfbench imports into the process that times the
+        # commands; each command's peak-RSS reading inherits its high-water mark
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(trustrec.__file__)))
-        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
-        assert json.loads(done.stdout) == ["trustrec"]
+        for imports, loaded in (
+            ("trustrec", ["trustrec"]),
+            ("trustrec.data, trustrec.synth", ["trustrec", "trustrec.data", "trustrec.synth"]),
+        ):
+            probe = f"import json, sys, {imports}\nprint(json.dumps(sorted(m for m in sys.modules if 'trustrec' in m)))\n"
+            done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+            assert json.loads(done.stdout) == loaded, imports
 
     def test_changed_source_misses_the_stage_cache(self, workspace):
         tmp_path, config_path = workspace
@@ -663,6 +673,31 @@ class TestPipeline:
         (tmp_path / "ratings.txt").write_text("".join(f"1,{10 + i},{1 + i % 5}\n" for i in range(10)))
         assert self.run(str(tmp_path / "config.txt"), "prepare") == 0
         assert not [d for d in os.listdir(work) if d.endswith(".tmp")]
+
+    def test_killed_command_leaves_no_temporary_file(self, tmp_path):
+        config = self.toy_config(tmp_path)
+        for command in ("prepare", "train"):
+            assert self.run(config, command) == 0
+        # evaluate killed between writing report.txt's temporary file and renaming it
+        probe = (
+            "import os, signal, sys\n"
+            "from trustrec.cli import main\n"
+            "rename = os.replace\n"
+            "def killed(src, dst):\n"
+            "    if os.path.basename(dst) == 'report.txt':\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    rename(src, dst)\n"
+            "os.replace = killed\n"
+            "main(sys.argv[1:])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(trustrec.__file__)))
+        done = subprocess.run([sys.executable, "-c", probe, "--config", config, "evaluate"],
+                              env=env, stdout=subprocess.DEVNULL)
+        assert done.returncode == -signal.SIGKILL
+        work = tmp_path / "work"
+        assert list(work.glob("report.txt.*.tmp"))
+        assert self.run(config, "prepare") == 0
+        assert not [name for _, dirs, names in os.walk(work) for name in dirs + names if name.endswith(".tmp")]
 
     def test_split_with_an_empty_side_exits_2(self, tmp_path, capsys):
         err = self.prepare_fails(tmp_path, capsys, "1,10,4\n2,11,3\n", **{"split.train_fraction": "0.8"})

@@ -14,10 +14,12 @@ from trustrec.data import TrustGraph
 from trustrec.graph import (
     community_leaders,
     directed_adjacency,
+    load_graph,
     louvain,
     modularity,
     pagerank,
     propagate_trust,
+    save_graph,
     symmetrized_adjacency,
 )
 
@@ -436,3 +438,22 @@ class TestPropagation:
             propagate_trust(g, decay=0.0)
         with pytest.raises(ValueError):
             propagate_trust(g, decay=0.8, max_depth=0)
+
+
+class TestCheckpoint:
+    def test_round_trip(self, tmp_path):
+        rng = np.random.default_rng(17)
+        # one graph with edges, one edgeless, so with no propagated pairs
+        for n, g in ((30, random_trust_graph(rng, 30, 0.1)), (4, TrustGraph(4))):
+            communities = louvain(g, seed=0)
+            leaders = community_leaders(g, communities)
+            propagated = propagate_trust(g, decay=0.8, max_depth=3)
+            path = tmp_path / f"graph-{n}.ckpt"
+            save_graph(path, communities, leaders, propagated)
+            trust, table = load_graph(path)
+            assert table.leaders.dtype == table.labels.dtype == np.int64
+            np.testing.assert_array_equal(table.leaders, leaders.leaders)
+            np.testing.assert_array_equal(table.labels, communities.labels)
+            assert_same_pairs(trust, propagated)
+            assert trust.truster.dtype == trust.trustee.dtype == np.int64
+            assert (trust.num_pairs > 0) == (n == 30)
