@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage, input or I/O error, 3 numeric failure.
 """
 
 import argparse
+import contextlib
 import fcntl
 import functools
 import glob
@@ -192,6 +193,9 @@ def _stage_folders(config, *need):
     is named only once those files exist.  A stage in ``need`` without its
     folder is an error that names the command to run first.
     """
+    for key, path in (("paths.ratings", config.ratings_path), ("paths.trust", config.trust_path)):
+        if not path:
+            raise ConfigError(f"{key} is not set")
     prep = _stage_key(config.scale, config.split, _hash_file(config.ratings_path), _hash_file(config.trust_path))
     keys = {
         "prepare": prep,
@@ -233,53 +237,32 @@ def _point_at(work, folders):
             fh.write(os.path.basename(folder)[len(stage) + 1:] + "\n")
 
 
-class _WorkLock:
+@contextlib.contextmanager
+def _WorkLock(work):
     """One command at a time per work directory.
 
     Holds an exclusive ``flock`` on ``work/.lock``.  The OS releases it when
     the holder exits, however it exits, so a killed command never blocks the
-    next one; the empty lock file itself stays in place.  A forked worker
-    closes its copy of the descriptor at once (see ``_drop_locks``), so the
-    lock never outlives the command that took it.  Once held, the lock's
-    owner removes the temporary files and folders (``*.tmp``) that failed or
-    killed commands left behind.
+    next one; the empty lock file itself stays in place.  Once held, the
+    lock's owner removes the temporary files and folders (``*.tmp``) that
+    failed or killed commands left behind.
     """
-
-    held = set()  # descriptors of the locks this process holds
-
-    def __init__(self, work):
-        self.path = os.path.join(work, ".lock")
-        self.fd = None
-
-    def __enter__(self):
-        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        fd = os.open(self.path, os.O_CREAT | os.O_WRONLY, 0o644)
+    path = os.path.join(work, ".lock")
+    os.makedirs(work or ".", exist_ok=True)
+    fd = os.open(path, os.O_CREAT | os.O_WRONLY, 0o644)
+    try:
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
-            os.close(fd)
-            raise ConfigError(f"work directory is locked ({self.path}); is another command running?") from None
-        self.fd = fd
-        _WorkLock.held.add(fd)
-        for stale in glob.glob(os.path.join(glob.escape(os.path.dirname(self.path)), "*.tmp")):
+            raise ConfigError(f"work directory is locked ({path}); is another command running?") from None
+        for stale in glob.glob(os.path.join(glob.escape(work), "*.tmp")):
             if os.path.isdir(stale):
                 shutil.rmtree(stale, ignore_errors=True)
             else:
                 os.remove(stale)
-        return self
-
-    def __exit__(self, *exc):
-        _WorkLock.held.discard(self.fd)
-        os.close(self.fd)
-        return False
-
-
-def _drop_locks():
-    while _WorkLock.held:
-        os.close(_WorkLock.held.pop())
-
-
-os.register_at_fork(after_in_child=_drop_locks)
+        yield
+    finally:
+        os.close(fd)
 
 
 def cmd_prepare(config):

@@ -46,8 +46,8 @@ class WalkConfig:
             raise ValueError("p, q and learning_rate must be positive")
         if self.dimensions <= 0 or self.num_walks <= 0 or self.walk_length <= 0:
             raise ValueError("dimensions, num_walks, walk_length must be positive")
-        if self.window <= 0 or self.negatives <= 0 or self.epochs < 0:
-            raise ValueError("window and negatives must be positive, epochs nonnegative")
+        if self.window <= 0 or self.negatives <= 0 or self.batch_size <= 0 or self.epochs < 0:
+            raise ValueError("window, negatives and batch_size must be positive, epochs nonnegative")
 
 
 def step_distribution(adjacency, prev, cur, p, q):

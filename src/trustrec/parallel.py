@@ -16,9 +16,11 @@ def both(in_worker, here):
     once ``here`` has returned; if ``here`` raises, the child is killed, and
     if this process dies, so does the child (by SIGKILL, on Linux).  A child
     that ends without a result raises ``ChildProcessError``, an ``OSError``.
-    The child is reaped on every path.  With a second thread alive (``fork``
-    would copy the locks it holds) or fewer than two CPUs, both calls run
-    here, ``here`` first as on the forked path, so the same error wins.
+    The child is reaped on every path.  It keeps only its pipe and the
+    standard streams, so it holds no file or file lock of the caller's.
+    With a second thread alive (``fork`` would copy the locks it holds) or
+    fewer than two CPUs, both calls run here, ``here`` first as on the
+    forked path, so the same error wins.
     """
     if threading.active_count() > 1 or len(os.sched_getaffinity(0)) < 2:
         mine = here()
@@ -34,6 +36,8 @@ def both(in_worker, here):
             if os.getppid() != parent:  # the parent died before that was set
                 os._exit(1)
             os.close(read_end)
+            os.closerange(3, write_end)
+            os.closerange(write_end + 1, os.sysconf("SC_OPEN_MAX"))
             try:
                 outcome = (True, in_worker())
             except BaseException as exc:

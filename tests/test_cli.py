@@ -172,6 +172,8 @@ class TestConfigParsing:
             ("graph.damping", "1.5"),
             ("graph.damping", "-0.1"),
             ("walks.learning_rate", "0"),
+            ("walks.batch_size", "0"),
+            ("walks.batch_size", "-1"),
             ("split.train_fraction", "0"),
             ("split.train_fraction", "1.0"),
             ("autoencoder.hidden_sizes", "8,0,8"),
@@ -619,6 +621,15 @@ class TestPipeline:
             child.wait()
             child.stdout.close()
         assert self.run(config, "prepare") == 0
+
+    @pytest.mark.parametrize("key", ["paths.ratings", "paths.trust"])
+    def test_unset_input_path_exits_2_naming_it(self, workspace, capsys, key):
+        tmp_path, config_path = workspace
+        config = Path(config_path())
+        lines = config.read_text().splitlines(keepends=True)
+        config.write_text("".join(line for line in lines if not line.startswith(key)))
+        assert self.run(str(config), "prepare") == 2
+        assert f"{key} is not set" in capsys.readouterr().err
 
     def test_report_without_work_or_config_exits_2(self, capsys):
         assert main(["report"]) == 2

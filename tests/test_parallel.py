@@ -109,6 +109,17 @@ class TestBoth:
         assert theirs != os.getpid()
         assert children(os.getpid()) == []
 
+    def test_worker_inherits_no_descriptor(self, two_cpus, tmp_path):
+        def is_open(fd):
+            try:
+                os.fstat(fd)
+            except OSError:
+                return False
+            return True
+
+        with open(tmp_path / "held.txt", "w") as held:
+            assert parallel.both(lambda: is_open(held.fileno()), lambda: is_open(held.fileno())) == (False, True)
+
     def test_second_thread_keeps_both_calls_here(self, two_cpus):
         with second_thread():
             assert parallel.both(os.getpid, os.getpid) == (os.getpid(), os.getpid())
