@@ -3,7 +3,7 @@
 The pipeline runs from a flat ``key = value`` config file with dotted section
 prefixes (see DEFAULTS for every key).  Each stage writes its artifacts into
 a work-directory folder named by a content hash of the stage's config section,
-its upstream artifacts and the package's source code.  Reruns reuse finished
+its upstream stages' keys and the package's source code.  Reruns reuse finished
 stages, any config change recomputes exactly the affected stages, and a
 changed program never reads artifacts that another version wrote.  All stages
 are seeded and artifacts carry no timestamps: identical configs produce
@@ -180,18 +180,13 @@ def _hash_file(path):
     return digest.hexdigest()
 
 
-# the file of each stage that the train stage reads, in its key's order
-_TRAIN_INPUTS = {"autoencoder": "codes.ckpt", "graph": "graph.ckpt", "embed": "embeddings.ckpt"}
-
-
 def _stage_folders(config, *need):
     """This config's folder ``work/<stage>-<key>`` of each stage, made yet or not.
 
-    A key digests the stage's config section and what the stage reads: the
-    input files for prepare, the prepare key for the three stages that read
-    the split, and those three stages' files for train.  So the train folder
-    is named only once those files exist.  A stage in ``need`` without its
-    folder is an error that names the command to run first.
+    A key digests the stage's config section and what it reads: the input
+    files for prepare, the prepare key for the three stages that read the
+    split, and those three stages' keys for train.  A stage in ``need``
+    without its folder is an error that names the command to run first.
     """
     for key, path in (("paths.ratings", config.ratings_path), ("paths.trust", config.trust_path)):
         if not path:
@@ -199,17 +194,14 @@ def _stage_folders(config, *need):
     prep = _stage_key(config.scale, config.split, _hash_file(config.ratings_path), _hash_file(config.trust_path))
     keys = {
         "prepare": prep,
-        "autoencoder": _stage_key(config.autoencoder, config.model.k, prep),
+        "autoencoder": _stage_key(config.autoencoder, prep),
         "graph": _stage_key(config.graph, prep),
         "embed": _stage_key(config.walks, prep),
     }
+    keys["train"] = _stage_key(config.model, keys["autoencoder"], keys["graph"], keys["embed"])
     folders = {stage: os.path.join(config.work_dir, f"{stage}-{key}") for stage, key in keys.items()}
-    inputs = [os.path.join(folders[stage], name) for stage, name in _TRAIN_INPUTS.items()]
-    if all(map(os.path.exists, inputs)):
-        key = _stage_key(config.model, *map(_hash_file, inputs))
-        folders["train"] = os.path.join(config.work_dir, f"train-{key}")
     for stage in need:
-        if not os.path.isdir(folders.get(stage, "")):
+        if not os.path.isdir(folders[stage]):
             command = "prepare" if stage == "prepare" else "train"
             raise ConfigError(f"no {stage} stage for this config in {config.work_dir}; "
                               f"run {command} with this config first")
@@ -359,7 +351,6 @@ def cmd_train(config):
             for value in history:
                 fh.write(f"{value!r}\n")
 
-    folders = _stage_folders(config, *_TRAIN_INPUTS)  # now names the train folder too
     _run_stage(folders["train"], model)
     _point_at(config.work_dir, folders)
 
@@ -369,7 +360,7 @@ def cmd_evaluate(config, ablate=False, baseline_mean=False):
 
     The ladder reads propagated trust from ``graph.ckpt``, not ``trust.txt``.
     """
-    folders = _stage_folders(config, "prepare", *_TRAIN_INPUTS, "train")
+    folders = _stage_folders(config, "prepare", "autoencoder", "graph", "embed", "train")
     train_split, test_split, _ = load_prepared(folders["prepare"], config.scale)
     params = load_params(os.path.join(folders["train"], "model.ckpt"))
     if ablate:
@@ -439,7 +430,7 @@ def main(argv=None):
                 cmd_train(config)
             elif args.command == "evaluate":
                 cmd_evaluate(config, ablate=args.ablate, baseline_mean=args.baseline_mean)
-    except (ConfigError, DataFormatError, CheckpointError, OSError) as exc:
+    except (ConfigError, DataFormatError, CheckpointError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

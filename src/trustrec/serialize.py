@@ -19,6 +19,7 @@ holds either a complete checkpoint or nothing.
 """
 
 import contextlib
+import math
 import os
 import struct
 
@@ -38,16 +39,20 @@ def _write_str(fh, text):
     fh.write(raw)
 
 
-def _read_str(fh):
-    (n,) = struct.unpack("<I", _read_exact(fh, 4))
-    return _read_exact(fh, n).decode("utf-8")
+def _read_str(fh, size):
+    (n,) = struct.unpack("<I", _read_exact(fh, 4, size))
+    try:
+        return _read_exact(fh, n, size).decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError("checkpoint string is not UTF-8") from None
 
 
-def _read_exact(fh, n):
-    raw = fh.read(n)
-    if len(raw) != n:
+def _read_exact(fh, n, size):
+    # checked before the read, so that a corrupt length field in a file of
+    # ``size`` bytes never asks for more memory than the file holds
+    if n > size - fh.tell():
         raise CheckpointError("truncated checkpoint file")
-    return raw
+    return fh.read(n)
 
 
 def save_checkpoint(path, kind, arrays, meta=None):
@@ -96,30 +101,36 @@ def _write_body(fh, kind, arrays, meta):
 def load_checkpoint(path, expect_kind=None):
     """Read a checkpoint; returns (kind, arrays, meta).
 
-    Raises CheckpointError on a bad magic, version, or truncation, or when
-    ``expect_kind`` is given and does not match.
+    Raises CheckpointError on a bad magic, version, string or shape, on a
+    length field that runs past the end of the file, or when ``expect_kind``
+    is given and does not match.
     """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, size))
         if version != _VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
-        kind = _read_str(fh)
+        kind = _read_str(fh, size)
         if expect_kind is not None and kind != expect_kind:
             raise CheckpointError(f"{path}: kind {kind!r}, expected {expect_kind!r}")
-        (n_meta,) = struct.unpack("<I", _read_exact(fh, 4))
+        (n_meta,) = struct.unpack("<I", _read_exact(fh, 4, size))
         meta = {}
         for _ in range(n_meta):
-            key = _read_str(fh)
-            (meta[key],) = struct.unpack("<q", _read_exact(fh, 8))
-        (n_arrays,) = struct.unpack("<I", _read_exact(fh, 4))
+            key = _read_str(fh, size)
+            (meta[key],) = struct.unpack("<q", _read_exact(fh, 8, size))
+        (n_arrays,) = struct.unpack("<I", _read_exact(fh, 4, size))
         arrays = {}
         for _ in range(n_arrays):
-            name = _read_str(fh)
-            (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
-            shape = struct.unpack(f"<{ndim}q", _read_exact(fh, 8 * ndim))
-            count = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8")
-            arrays[name] = data.reshape(shape).copy()
+            name = _read_str(fh, size)
+            (ndim,) = struct.unpack("<I", _read_exact(fh, 4, size))
+            shape = struct.unpack(f"<{ndim}q", _read_exact(fh, 8 * ndim, size))
+            if min(shape, default=0) < 0:
+                raise CheckpointError(f"{path}: array {name!r} has a negative dimension")
+            data = np.frombuffer(_read_exact(fh, 8 * math.prod(shape), size), dtype="<f8")
+            try:
+                arrays[name] = data.reshape(shape).copy()
+            except ValueError:  # an empty array whose other dimensions overflow
+                raise CheckpointError(f"{path}: array {name!r} has an impossible shape") from None
     return kind, arrays, meta

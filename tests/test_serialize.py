@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -96,4 +98,45 @@ class TestErrors:
         raw[8] = 99  # version field sits right after the magic
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    # a checkpoint of kind "demo" holding one 2 x 3 array "x": the offsets of
+    # the kind's length, the array's ndim and its first dimension
+    KIND_LEN, NDIM, DIM0 = 12, 33, 37
+
+    def corrupt(self, tmp_path, offset, fmt, value):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, "demo", {"x": np.ones((2, 3))})
+        raw = bytearray(path.read_bytes())
+        assert struct.unpack_from("<I", raw, self.NDIM) == (2,)
+        struct.pack_into(fmt, raw, offset, value)
+        path.write_bytes(bytes(raw))
+        return path
+
+    @pytest.mark.parametrize(
+        "offset, fmt, value",
+        [(DIM0, "<q", 2**40), (DIM0, "<q", 2**62), (NDIM, "<I", 2**31), (KIND_LEN, "<I", 2**32 - 1)],
+        ids=["huge-dimension", "overflowing-dimension", "huge-ndim", "huge-string-length"],
+    )
+    def test_length_past_the_end_of_the_file(self, tmp_path, offset, fmt, value):
+        # raises before it asks for the declared bytes
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(self.corrupt(tmp_path, offset, fmt, value))
+
+    def test_negative_dimension(self, tmp_path):
+        with pytest.raises(CheckpointError, match="negative dimension"):
+            load_checkpoint(self.corrupt(tmp_path, self.DIM0, "<q", -1))
+
+    def test_empty_array_with_an_overflowing_shape(self, tmp_path):
+        path = tmp_path / "e.ckpt"
+        save_checkpoint(path, "demo", {"x": np.ones((0, 3))})
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<q", raw, self.DIM0 + 8, 2**62)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="impossible shape"):
+            load_checkpoint(path)
+
+    def test_kind_that_is_not_utf8(self, tmp_path):
+        path = self.corrupt(tmp_path, self.KIND_LEN + 4, "<B", 0xFF)
+        with pytest.raises(CheckpointError, match="not UTF-8"):
             load_checkpoint(path)
