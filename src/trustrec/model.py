@@ -24,6 +24,14 @@ from .serialize import load_checkpoint, save_checkpoint
 # 1024 and 16384 ran about 25% slower on a 2-core x86 machine.
 _PAIR_BLOCK = 4096
 
+# The social operator is a dense array once its edge entries fill a third of
+# the m × m matrix.  On random symmetric operators at k = 10, one thread of a
+# 2-core x86 machine, a level's gather L[u] @ Pᵀ ran 1.9–4.3× faster dense
+# than CSR at every density from 0.02 to 0.39 for m = 800 and 45 users a
+# level, but for m = 2000 and 355 users a level dense lost up to density 0.33
+# and won 1.4× at 0.39: a third is where both shapes agree.
+_DENSE_SHARE = 3
+
 
 @dataclass
 class ModelParams:
@@ -143,25 +151,37 @@ class TrainingContext:
         return np.asarray(self.embeddings, dtype=np.float64)
 
     def social_operator(self, lam_t, lam_c):
-        """Sparse L with (L Pᵀ)[u] the trust-plus-leader part of ∂objective/∂P_u.
+        """L with (L Pᵀ)[u] the trust-plus-leader part of ∂objective/∂P_u.
 
         L = λ_t·(Laplacian of the pairs as undirected edges of weight t_uv)
         + λ_c·(Laplacian of the member–leader edges), built once per context
-        and weight pair and kept; None when it has no entries.
+        and weight pair and kept; None when it has no nonzero entries.  Its
+        form follows its edge entries e, both directions of each edge:
+        a dense (m, m) float64 array when _DENSE_SHARE·e ≥ m², where the
+        entries alone take as much memory, else a scipy CSR matrix.  Both
+        give L[u] @ Pᵀ for an index array u.
         """
         key = (lam_t, lam_c)
         if key not in self._social:
-            from scipy import sparse
             m = self.train.num_users
             rows = np.concatenate([self.pair_u, self.pair_v, self.members, self.heads])
             cols = np.concatenate([self.pair_v, self.pair_u, self.heads, self.members])
             weights = np.concatenate(
                 [lam_t * self.pair_t, lam_t * self.pair_t, np.full(2 * len(self.members), float(lam_c))]
             )
-            adjacency = sparse.csr_matrix((weights, (rows, cols)), shape=(m, m))
-            op = (sparse.diags(np.asarray(adjacency.sum(axis=1)).ravel()) - adjacency).tocsr()
-            op.eliminate_zeros()
-            self._social[key] = op if op.nnz else None
+            entries = np.count_nonzero(weights)
+            if entries == 0:
+                op = None
+            elif _DENSE_SHARE * entries >= m * m:
+                adjacency = np.bincount(rows * m + cols, weights, minlength=m * m).reshape(m, m)
+                op = -adjacency
+                op[np.diag_indices(m)] += adjacency.sum(axis=1)
+            else:
+                from scipy import sparse
+                adjacency = sparse.csr_matrix((weights, (rows, cols)), shape=(m, m))
+                op = (sparse.diags(np.asarray(adjacency.sum(axis=1)).ravel()) - adjacency).tocsr()
+                op.eliminate_zeros()
+            self._social[key] = op
         return self._social[key]
 
 
@@ -192,10 +212,10 @@ def objective(params, ctx, hp):
     """
     train = ctx.train
     err = predict(params, ctx.embeddings, train.users, train.items) - train.values
-    total = 0.5 * err @ err
+    total = 0.5 * (err * err).sum()
     total += 0.5 * hp.lam_p * (params.P * params.P).sum()
     total += 0.5 * hp.lam_q * (params.Q * params.Q).sum()
-    total += 0.5 * hp.lam_w * params.W @ params.W
+    total += 0.5 * hp.lam_w * (params.W * params.W).sum()
     if len(ctx.pair_u):
         total += 0.5 * hp.lam_t * _trust_term(params.P, ctx.pair_u, ctx.pair_v, ctx.pair_t)
     if len(ctx.members):
@@ -286,11 +306,17 @@ def sgd_epoch(params, ctx, hp, rng=None):
     """One SGD pass in a seeded shuffled order; returns new params.
 
     Each conflict-free level of the order is one vectorized step that moves
-    its ratings' P_u and Q_i by their gradients at the level-start values.
-    Without trust, leaders or embeddings that is exactly the per-rating
-    pass; otherwise trust/leader partners and W are read at level start.
-    The shared W takes an implicit step per level of B ratings, stable at
-    any lr·‖ZᵀZ‖: ((1 + lr·B·λ_w/N)·I + lr·ZᵀZ) W' = W − lr·Zᵀ(e − ZW),
+    its ratings' P_u and Q_i by their gradients at the level-start values;
+    trust/leader partners come from one product L[u] @ Pᵀ with the social
+    operator L.  The Q step is guarded: a rating's error e enters Q_i's
+    gradient as e / max(1, lr·‖a‖²), a = P_u + W ⊙ X_u, so a step never runs
+    past the squared error's stability bound lr·‖a‖² < 2, as it can once a
+    level's W step has grown a, and is the plain step while lr·‖a‖² ≤ 1.
+    Without trust, leaders or embeddings and with every lr·‖a‖² ≤ 1 an epoch
+    is exactly the per-rating pass; otherwise partners and W are read at
+    level start.  The shared W takes an implicit step per level of B
+    ratings, stable at any lr·‖ZᵀZ‖:
+    ((1 + lr·B·λ_w/N)·I + lr·ZᵀZ) W' = W − lr·Zᵀ(e − ZW),
     with Z's rows X_u ⊙ Q_i.  Regularizers are spread across visits so an
     epoch sums to the full objective's: P-ridge, trust and leader terms of
     user u scale by 1/|ratings of u|, the Q-ridge by 1/|ratings of i|, the
@@ -315,7 +341,8 @@ def sgd_epoch(params, ctx, hp, rng=None):
         gp = e[:, None] * qi + (hp.lam_p * ctx.inv_user[u])[:, None] * pu
         if social is not None:
             gp += ctx.inv_user[u, None] * (social[u] @ Pt)
-        gq = e[:, None] * a + (hp.lam_q * ctx.inv_item[i])[:, None] * qi
+        damped = e / np.maximum(1.0, lr * np.einsum("bk,bk->b", a, a))
+        gq = damped[:, None] * a + (hp.lam_q * ctx.inv_item[i])[:, None] * qi
         if ctx.embeddings is not None:
             z = xu * qi
             lhs = (1.0 + lr * len(s) * hp.lam_w / len(values)) * np.eye(hp.k) + lr * (z.T @ z)

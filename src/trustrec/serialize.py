@@ -44,14 +44,14 @@ def _read_str(fh, size):
     try:
         return _read_exact(fh, n, size).decode("utf-8")
     except UnicodeDecodeError:
-        raise CheckpointError("checkpoint string is not UTF-8") from None
+        raise CheckpointError(f"{fh.name}: checkpoint string is not UTF-8") from None
 
 
 def _read_exact(fh, n, size):
     # checked before the read, so that a corrupt length field in a file of
     # ``size`` bytes never asks for more memory than the file holds
     if n > size - fh.tell():
-        raise CheckpointError("truncated checkpoint file")
+        raise CheckpointError(f"{fh.name}: truncated checkpoint file")
     return fh.read(n)
 
 

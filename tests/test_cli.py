@@ -18,6 +18,7 @@ import pytest
 import trustrec
 from trustrec import cli, data
 from trustrec import graph as graph_module
+from trustrec import model as model_module
 from trustrec import serialize
 from trustrec.cli import (
     DEFAULTS,
@@ -28,10 +29,14 @@ from trustrec.cli import (
     parse_config_file,
 )
 from trustrec.data import IdMap, load_ratings, load_trust
-from trustrec.model import load_params, save_params
-from trustrec.synth import toy_bundle, write_bundle
+from trustrec.evaluation import evaluate
+from trustrec.model import ModelParams, load_params, save_params
+from trustrec.synth import social_bundle, toy_bundle, write_bundle
 
+from oracles import reference_sgd_epoch
 from test_input_pins import _workload, _workloads
+from test_pins import BUNDLE as PINS_BUNDLE
+from test_pins import CONFIG as PINS_CONFIG
 from test_pins import _env
 
 BASE_CONFIG = """\
@@ -228,6 +233,11 @@ class TestConfigParsing:
         assert config.work_dir == "elsewhere"
 
 
+def diverging_epoch(params, *_):
+    """An SGD epoch that leaves non-finite factors, whatever the step rule."""
+    return ModelParams(np.full_like(params.P, np.nan), params.Q, params.W)
+
+
 class TestPipeline:
     def run(self, config, *args):
         return main(["--config", config, *args])
@@ -399,7 +409,7 @@ class TestPipeline:
         assert graph.self_loops_skipped == parsed_graph.self_loops_skipped
 
     def test_commands_load_only_the_scipy_they_use(self, workspace):
-        _, config_path = workspace
+        tmp_path, config_path = workspace
         config = config_path()
         probe = (
             "import json, sys\n"
@@ -409,7 +419,7 @@ class TestPipeline:
         )
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(trustrec.__file__)))
 
-        def scipy_modules(*command):
+        def scipy_modules(config, *command):
             done = subprocess.run(
                 [sys.executable, "-c", probe, "--config", config, *command],
                 capture_output=True, text=True, check=True, env=env,
@@ -419,12 +429,22 @@ class TestPipeline:
         def special(modules):
             return [m for m in modules if m == "scipy.special" or m.startswith("scipy.special.")]
 
-        assert scipy_modules("prepare") == []
-        train = scipy_modules("train")
+        assert scipy_modules(config, "prepare") == []
+        train = scipy_modules(config, "train")
         assert "scipy.sparse" in train
         assert not special(train)
-        assert scipy_modules("evaluate") == []
-        ablate = scipy_modules("evaluate", "--ablate")
+        assert scipy_modules(config, "evaluate") == []
+        # this social operator fills more than a third of its matrix, so it
+        # is a numpy array; the pins bundle's fills an eighth and stays CSR
+        assert scipy_modules(config, "evaluate", "--ablate") == []
+        ratings, trust = tmp_path / "pins_ratings.txt", tmp_path / "pins_trust.txt"
+        write_bundle(social_bundle(**PINS_BUNDLE), ratings, trust)
+        settings = {**PINS_CONFIG, "paths.ratings": ratings, "paths.trust": trust, "paths.work": tmp_path / "pins"}
+        sparse_side = tmp_path / "pins.txt"
+        sparse_side.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+        for command in ("prepare", "train"):
+            scipy_modules(str(sparse_side), command)
+        ablate = scipy_modules(str(sparse_side), "evaluate", "--ablate")
         assert "scipy.sparse" in ablate
         assert not special(ablate)
 
@@ -527,14 +547,12 @@ class TestPipeline:
 
         assert checkpoint("work_one") == checkpoint("work_two")
 
-    def test_divergent_training_exits_3(self, workspace):
+    def test_divergent_training_exits_3(self, workspace, monkeypatch):
         _, config_path = workspace
-        config = config_path(
-            name="diverge.txt", work="work_bad", **{"model.learning_rate": "50.0"}
-        )
+        config = config_path(name="diverge.txt", work="work_bad")
         assert self.run(config, "prepare") == 0
-        with np.errstate(all="ignore"):
-            assert self.run(config, "train") == 3
+        monkeypatch.setattr(model_module, "sgd_epoch", diverging_epoch)
+        assert self.run(config, "train") == 3
 
     def toy_config(self, tmp_path, extra=""):
         ratings, trust = tmp_path / "ratings.txt", tmp_path / "trust.txt"
@@ -565,8 +583,9 @@ class TestPipeline:
         # another config's train fails in its model stage, after its own
         # embedding stage is done
         other = tmp_path / "other.txt"
-        other.write_text(Path(config).read_text() + "walks.seed = 5\nmodel.learning_rate = 50\n")
-        with np.errstate(all="ignore"):
+        other.write_text(Path(config).read_text() + "walks.seed = 5\n")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model_module, "sgd_epoch", diverging_epoch)
             assert self.run(str(other), "train") == 3
         assert len(list(work.glob("embed-*"))) == 2
         capsys.readouterr()
@@ -576,6 +595,16 @@ class TestPipeline:
         assert {p.name: p.read_text() for p in work.glob("*.current")} == pointers
         assert self.run(str(other), "evaluate") == 2
         assert "no train stage for this config" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_error_names_its_file(self, tmp_path, capsys):
+        config = self.toy_config(tmp_path)
+        for command in ("prepare", "train"):
+            assert self.run(config, command) == 0
+        [checkpoint] = (tmp_path / "work").glob("train-*/model.ckpt")
+        checkpoint.write_bytes(checkpoint.read_bytes()[:-8])
+        capsys.readouterr()
+        assert self.run(config, "evaluate") == 2
+        assert f"{checkpoint}: truncated checkpoint file" in capsys.readouterr().err
 
     def test_damping_near_one_trains(self, tmp_path):
         config = self.toy_config(tmp_path, "graph.damping = 0.99\n")
@@ -881,17 +910,66 @@ class TestCrashSweep:
         assert self.sweep(run, tmp_path, serialize, "_write_body", half_written) == 5
 
 
+def _workload_config(root, name, seed):
+    """Write workload ``name``'s inputs at ``seed`` and a config for them under ``root``."""
+    ratings, trust = root / "ratings.txt", root / "trust.txt"
+    write_bundle(_workload(name, seed=seed), ratings, trust)
+    settings = {**_workloads()[name].config, "paths.ratings": ratings, "paths.trust": trust,
+                "paths.work": root / "work"}
+    config = root / "config.txt"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+    return config
+
+
+def _cli(config, *command, env=None):
+    return subprocess.run([sys.executable, "-m", "trustrec.cli", "--config", str(config), *command],
+                          env=env or _env(), capture_output=True, text=True)
+
+
 class TestBenchmarkInputs:
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 1: the level-scheduled SGD epoch diverges here")
-    def test_train_s_trains_at_seed_73(self, tmp_path):
-        ratings, trust = tmp_path / "ratings.txt", tmp_path / "trust.txt"
-        write_bundle(_workload("train-s", seed=73), ratings, trust)
-        settings = {**_workloads()["train-s"].config, "paths.ratings": ratings, "paths.trust": trust,
-                    "paths.work": tmp_path / "work"}
-        config = tmp_path / "config.txt"
-        config.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
-        for command in ("prepare", "train"):
-            done = subprocess.run([sys.executable, "-m", "trustrec.cli", "--config", str(config), command],
-                                  env=_env(), capture_output=True, text=True)
+    @pytest.fixture(scope="class")
+    def seed_73(self, tmp_path_factory):
+        """The train-s config at seed 73 and its prepare and train runs, one BLAS thread."""
+        config = _workload_config(tmp_path_factory.mktemp("train-s-73"), "train-s", 73)
+        return config, [_cli(config, command) for command in ("prepare", "train")]
+
+    def test_train_s_trains_at_seed_73(self, seed_73):
+        for done in seed_73[1]:
             assert done.returncode == 0, done.stderr
+
+    def test_train_s_at_seed_73_ends_near_the_per_rating_reference(self, seed_73, monkeypatch):
+        # The guarded level step may end below the per-rating pass, never far
+        # above it: one-sided bounds on the final objective (3012 against
+        # 3472 here) and on test RMSE.  The RMSE slack, 0.01, is just above
+        # the largest excess over the reference seen at seeds 60-79, 7 and 42
+        # of both benchmark workloads (+0.0081); here the gap is -0.0025.
+        config_path, runs = seed_73
+        assert all(done.returncode == 0 for done in runs)
+        config = cli.build_config(cli.parse_config_file(str(config_path)))
+        folders = cli._stage_folders(config, "prepare", "autoencoder", "graph", "embed", "train")
+        train_split, test_split, _ = data.load_prepared(folders["prepare"], config.scale)
+        ctx, (init_p, init_q) = cli._load_context(folders, train_split)
+        params = load_params(os.path.join(folders["train"], "model.ckpt"))
+        with open(os.path.join(folders["train"], "objective.log")) as fh:
+            history = [float(line) for line in fh]
+        monkeypatch.setattr(model_module, "sgd_epoch", reference_sgd_epoch)
+        reference, reference_history = model_module.train(ctx, config.model, init_p, init_q)
+        assert len(history) == len(reference_history) == config.model.epochs
+        assert history[-1] <= reference_history[-1]
+        mine = evaluate(params, ctx.embeddings, test_split).rmse
+        theirs = evaluate(reference, ctx.embeddings, test_split).rmse
+        assert mine <= theirs + 0.01
+
+    @pytest.mark.parametrize("name", ["train-s", "ablate-dense"])
+    def test_artifacts_do_not_depend_on_the_blas_thread_count(self, tmp_path, name):
+        config = _workload_config(tmp_path, name, 7)
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            work = tmp_path / f"work-{threads}"
+            for command in _workloads()[name].commands:
+                done = _cli(config, "--work", str(work), *command, env=env)
+                assert done.returncode == 0, done.stderr
+            runs.append({str(p.relative_to(work)): p.read_bytes() for p in work.rglob("*") if p.is_file()})
+        assert sorted(runs[0]) == sorted(runs[1])
+        assert [path for path in runs[0] if runs[0][path] != runs[1][path]] == []

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from trustrec import model as model_module
 from trustrec.data import RatingMatrix
@@ -24,6 +25,10 @@ from trustrec.model import (
 from trustrec.synth import planted_factors
 
 from oracles import central_difference, gradient_gap, plain_mf_objective, reference_sgd_epoch
+
+
+# (_DENSE_SHARE, the operator type it forces) for each form
+DENSE_AND_SPARSE = ((10**9, np.ndarray), (0, sparse.csr_matrix))
 
 
 def one_rating(value=4.0, m=1, n=1):
@@ -180,7 +185,7 @@ class TestObjective:
         train_ = ctx.train
         err = (params.P[:, train_.users] * params.Q[:, train_.items]).sum(axis=0) - train_.values
         standalone = float(
-            0.5 * err @ err
+            0.5 * (err * err).sum()
             + 0.5 * 0.2 * (params.P * params.P).sum()
             + 0.5 * 0.3 * (params.Q * params.Q).sum()
         )
@@ -488,15 +493,67 @@ class TestLevelScheduledEpoch:
             ):
                 assert np.abs(got - want).max() < lr * np.abs(want - was).max()
 
-    def test_social_operator_is_the_social_gradient(self, make_context):
+    def test_social_operator_is_the_social_gradient(self, make_context, monkeypatch):
         rng = np.random.default_rng(8)
         ctx = make_context(rng, 10, 6, 3)
         params = ModelParams(rng.normal(size=(3, 10)), rng.normal(size=(3, 6)), rng.normal(size=3))
         hp = plain_hp(k=3, lam_t=0.3, lam_c=0.7)
         social = gradients(params, ctx, hp)[0] - gradients(params, ctx, plain_hp(k=3))[0]
-        op = ctx.social_operator(0.3, 0.7)
-        np.testing.assert_allclose((op @ params.P.T).T, social, rtol=0, atol=1e-12)
-        assert ctx.social_operator(0.0, 0.0) is None
+        for share, form in DENSE_AND_SPARSE:
+            monkeypatch.setattr(model_module, "_DENSE_SHARE", share)
+            fresh = replace(ctx)
+            op = fresh.social_operator(0.3, 0.7)
+            assert isinstance(op, form)
+            np.testing.assert_allclose((op @ params.P.T).T, social, rtol=0, atol=1e-12)
+            assert fresh.social_operator(0.0, 0.0) is None
+
+    def test_operator_form_follows_its_share_of_the_matrix(self, make_context, monkeypatch):
+        # entries count both directions of each trust pair and member–leader edge
+        rng = np.random.default_rng(4)
+        ctx = make_context(rng, 30, 6, 3)
+        m, entries = 30, 2 * (len(ctx.pair_u) + len(ctx.members))
+        assert model_module._DENSE_SHARE * entries >= m * m
+        dense = ctx.social_operator(0.3, 0.7)
+        assert isinstance(dense, np.ndarray) and dense.dtype == np.float64 and dense.shape == (m, m)
+        kept = np.flatnonzero(rng.random(len(ctx.pair_u)) < 0.05)
+        few_pairs = PropagatedTrust(ctx.pair_u[kept], ctx.pair_v[kept], ctx.pair_t[kept], m)
+        thin = replace(ctx, trust=few_pairs, leaders=None)
+        assert model_module._DENSE_SHARE * 2 * len(kept) < m * m
+        assert isinstance(thin.social_operator(0.3, 0.7), sparse.csr_matrix)
+        # the CSR build of the dense-side context agrees entry for entry; only
+        # the order in which duplicate edges and row sums add up differs
+        monkeypatch.setattr(model_module, "_DENSE_SHARE", 0)
+        csr = replace(ctx).social_operator(0.3, 0.7).toarray()
+        np.testing.assert_allclose(dense, csr, rtol=1e-15, atol=1e-15)
+        assert np.array_equal(dense != 0, csr != 0)
+
+    def test_dense_and_sparse_operators_train_alike(self, make_context, monkeypatch):
+        rng = np.random.default_rng(7)
+        ctx = make_context(rng, 30, 12, 3)
+        hp = HyperParams(
+            k=3, learning_rate=0.02, lam_p=0.1, lam_q=0.1, lam_w=0.1, lam_t=0.1, lam_c=0.1,
+            epochs=1, seed=7,
+        )
+        start = init_params(30, 12, hp)
+        out = []
+        for share, _ in DENSE_AND_SPARSE:
+            monkeypatch.setattr(model_module, "_DENSE_SHARE", share)
+            params = start
+            for epoch in range(3):
+                params = sgd_epoch(params, replace(ctx), hp, np.random.default_rng(epoch))
+            out.append(params)
+        for got, want in zip((out[0].P, out[0].Q, out[0].W), (out[1].P, out[1].Q, out[1].W)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_q_step_is_guarded(self):
+        # one rating, so P's step and Q's step both read the start values
+        ctx = TrainingContext(train=one_rating(value=5.0))
+        for lr, p, q in ((0.6, 2.0, 2.0), (0.05, 2.0, 0.5)):
+            hp = plain_hp(k=1, learning_rate=lr)
+            out = sgd_epoch(ModelParams([[p]], [[q]], [0.0]), ctx, hp)
+            e = p * q - 5.0
+            assert out.P[0, 0] == p - lr * (e * q)
+            assert out.Q[0, 0] == q - lr * (e / max(1.0, lr * (p * p)) * p)
 
     def test_shared_gate_takes_a_stable_step(self):
         # 200 ratings on distinct users and items form a single level coupled
@@ -555,11 +612,14 @@ class TestTrain:
             with pytest.raises(ValueError, match="embedding dimension"):
                 train(ctx, plain_hp(epochs=epochs), np.zeros((2, 2)), np.zeros((2, 3)))
 
-    def test_early_stop_after_five_rising_epochs(self):
-        # a single rating with an oversized step diverges deterministically,
-        # so the objective rises every epoch and training stops at five rises
+    def test_early_stop_after_five_rising_epochs(self, monkeypatch):
+        # epochs that double every factor make the objective rise every
+        # epoch, so training stops at five rises
+        monkeypatch.setattr(
+            model_module, "sgd_epoch", lambda params, *_: ModelParams(2 * params.P, 2 * params.Q, params.W)
+        )
         ctx = TrainingContext(train=one_rating(value=5.0))
-        hp = plain_hp(k=1, learning_rate=0.6, epochs=40)
+        hp = plain_hp(k=1, epochs=40)
         best, history = train(ctx, hp, np.array([[2.0]]), np.array([[2.0]]))
         assert len(history) == 6
         assert all(b > a for a, b in zip(history, history[1:]))

@@ -48,9 +48,9 @@ CLI_PINS = {
     "codes.ckpt": "672ca97c7210422d2aaf812e0a041bfbc0a02248e4586c124f9ee308af6b0e08",
     "graph.ckpt": "843b210e9fb82b88dd50d42f634e9e8963fc053d218b68a92c4c1648b2a804ad",
     "embeddings.ckpt": "e977e1a5319a5cb42a39685c7cac12abe6b96fd70b6491af965e0abd1f074d2a",
-    "model.ckpt": "d9594f6fff97e419f5eba7be41468d233864f5fe4bbdd30c8dc1be75402af370",
-    "objective.log": "b152234fc0913cffd37fa81dd066322907c0cf15002574b2b26524100c3884bf",
-    "report.txt": "5eacc94bdddc6d8a334559d0a40f863d888033849fa06cfb83704f5e6e2440fd",
+    "model.ckpt": "881f9bd0484ea6d23d2d49fbc6e86be544c1972fc736ccebd809551a6cc65ca2",
+    "objective.log": "44956df4d53c4712631b7ae65ffcf97ebec717f97745cf5cecff2e6b23e57e8a",
+    "report.txt": "6dd4eacc479fa41c870999e22c3b5f0baae98deac15233a96d81f5bf686fac0f",
 }
 
 LIBRARY_PINS = {
@@ -61,7 +61,7 @@ LIBRARY_PINS = {
     "propagated": "096a71a9a7c929000f0ff8ffcc410eebb71865da57785576ab4a5c4b17cf7840",
     "walks": "648597d849eaa05873436d84fd8c215f39cbe0b47d0bbc4ef194b7e56aa5942f",
     "embeddings": "9f6f7a1022165907565febb5224d3e2634b88a8f74e83e16c23a1fca7b9040d2",
-    "model": "28ce27bb59ee5a0e31c2311e91c194aba8854b391a7663441f07a2a60a06b7e1",
+    "model": "c5b56da4d566fdc53ae57eecd4a0a512f09bbad37e212a9c4cf070c4f8a33763",
 }
 
 

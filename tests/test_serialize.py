@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -139,4 +140,12 @@ class TestErrors:
     def test_kind_that_is_not_utf8(self, tmp_path):
         path = self.corrupt(tmp_path, self.KIND_LEN + 4, "<B", 0xFF)
         with pytest.raises(CheckpointError, match="not UTF-8"):
+            load_checkpoint(path)
+
+    def test_read_errors_name_the_file(self, tmp_path):
+        path = self.corrupt(tmp_path, self.KIND_LEN + 4, "<B", 0xFF)
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: checkpoint string is not UTF-8$"):
+            load_checkpoint(path)
+        path.write_bytes(path.read_bytes()[: self.KIND_LEN + 2])
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: truncated checkpoint file$"):
             load_checkpoint(path)
