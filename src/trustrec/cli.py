@@ -28,7 +28,8 @@ import numpy as np
 from . import evaluation, parallel
 from .autoencoder import AutoencoderConfig
 from .data import (
-    DataFormatError, IdMap, SplitSpec, global_mean, load_prepared, load_ratings, load_trust, save_prepared, split,
+    DataFormatError, IdMap, SplitSpec, decode_error, global_mean, load_prepared, load_ratings, load_trust,
+    save_prepared, split,
 )
 from .embed import WalkConfig, node_embeddings
 from .graph import GraphOptions, community_leaders, load_graph, louvain, propagate_trust, save_graph
@@ -95,16 +96,19 @@ def parse_config_file(path):
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     with fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
-            key, value = (part.strip() for part in text.split("=", 1))
-            if key not in DEFAULTS:
-                raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-            raw[key] = value
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                text = line.split("#", 1)[0].strip()
+                if not text:
+                    continue
+                if "=" not in text:
+                    raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+                key, value = (part.strip() for part in text.split("=", 1))
+                if key not in DEFAULTS:
+                    raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+                raw[key] = value
+        except UnicodeDecodeError as exc:
+            raise ConfigError(str(decode_error(path, exc))) from None
     return raw
 
 
@@ -430,7 +434,7 @@ def main(argv=None):
                 cmd_train(config)
             elif args.command == "evaluate":
                 cmd_evaluate(config, ablate=args.ablate, baseline_mean=args.baseline_mean)
-    except (ConfigError, DataFormatError, CheckpointError, OSError, UnicodeDecodeError) as exc:
+    except (ConfigError, DataFormatError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -20,7 +20,7 @@ import numpy as np
 
 
 class DataFormatError(ValueError):
-    """A malformed or out-of-range input line; carries file path and line number."""
+    """A malformed or out-of-range input line; carries file path and line number (None if unknown)."""
 
     def __init__(self, path, line_no, message):
         super().__init__(str(path), line_no, message)  # all three, so that pickle can rebuild it
@@ -28,7 +28,25 @@ class DataFormatError(ValueError):
         self.line_no = line_no
 
     def __str__(self):
-        return "{}:{}: {}".format(*self.args)
+        path, line_no, message = self.args
+        return f"{path}: {message}" if line_no is None else f"{path}:{line_no}: {message}"
+
+
+def decode_error(path, exc):
+    """DataFormatError at the line of text file ``path`` that failed to decode with ``exc``.
+
+    Text mode decodes ahead of the line it yields, so ``exc`` does not tell
+    which line holds the bad byte; on this error path only, the file is read
+    again as bytes, line by line, to find it.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # the line ends text mode splits at
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            raw.decode(exc.encoding)
+        except UnicodeDecodeError as bad:
+            return DataFormatError(path, line_no, str(bad))
+    return DataFormatError(path, None, f"not {exc.encoding} text")
 
 
 class IdMap:
@@ -227,11 +245,14 @@ def _csr_rows(num_users, truster, trustee, values):
 def _records(path):
     """Yield (line_no, fields) for every non-comment, non-blank line."""
     with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield line_no, line.replace(",", " ").split()
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                yield line_no, line.replace(",", " ").split()
+        except UnicodeDecodeError as exc:
+            raise decode_error(path, exc) from None
 
 
 def load_ratings(path, scale=(1.0, 5.0), user_map=None, item_map=None):

@@ -14,7 +14,8 @@ The skip-gram reads that walk array in place and trains input vectors
 against context vectors with negative sampling from the 3/4-power unigram
 distribution over walk occurrences, in window batches (HogBatch, Ji et al.
 2016): a walk position trains its whole window against its own node and one
-shared negative set.  The embeddings are one (num_nodes, dimensions) array.
+shared negative set; ``_add_rows`` scatters each step into the input and
+context tables, which are (num_nodes, dimensions) arrays.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import symmetrized_adjacency
-from .scatter import add_rows
 
 
 @dataclass
@@ -193,6 +193,19 @@ def _noise_cdf(counts):
     return cdf
 
 
+def _add_rows(target, rows, values):
+    """``np.add.at(target, rows, values)``, bit for bit, on a C-contiguous 2-D target.
+
+    One 1-D ``np.add.at`` over flat indices adds each row's repeats in the
+    order of ``rows``, much faster than numpy's row-indexed form.
+    """
+    if not target.flags.c_contiguous:
+        raise ValueError("_add_rows needs a C-contiguous target")
+    d = target.shape[1]
+    flat = (np.asarray(rows, dtype=np.int64)[:, None] * d + np.arange(d)).ravel()
+    np.add.at(target.reshape(-1), flat, np.asarray(values).reshape(-1))
+
+
 def _window_step(inputs, contexts, window, mask, outputs, lr):
     """One SGNS step on a batch of walk positions, updating both tables in place.
 
@@ -201,7 +214,8 @@ def _window_step(inputs, contexts, window, mask, outputs, lr):
     holds the position's own node (column 0, the positive) and then its K
     negatives, which every input of the window shares.  The scores are one
     batched product ``x @ yᵀ`` of shape (T, 2·window, K+1); every gradient
-    comes from the values before the step, and a masked slot adds zero.
+    comes from the values before the step, a masked slot adds zero, and
+    ``_add_rows`` sums a repeated node's updates.
     """
     x = inputs[window]
     y = contexts[outputs]
@@ -209,8 +223,8 @@ def _window_step(inputs, contexts, window, mask, outputs, lr):
     g = 0.5 * (1.0 + np.tanh(0.5 * (x @ y.transpose(0, 2, 1))))
     g[:, :, 0] -= 1.0
     g *= mask[:, :, None]
-    add_rows(inputs, window.ravel(), -lr * (g @ y).reshape(window.size, -1))
-    add_rows(contexts, outputs.ravel(), -lr * (g.transpose(0, 2, 1) @ x).reshape(outputs.size, -1))
+    _add_rows(inputs, window.ravel(), -lr * (g @ y).reshape(window.size, -1))
+    _add_rows(contexts, outputs.ravel(), -lr * (g.transpose(0, 2, 1) @ x).reshape(outputs.size, -1))
 
 
 def train_embeddings(walks, num_nodes, config):

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import autoencoder as ae
 from . import parallel
-from .data import DataFormatError
+from .data import DataFormatError, decode_error
 from .model import init_params, predict, train
 from .serialize import replace_on_success
 
@@ -14,14 +14,15 @@ from .serialize import replace_on_success
 def rmse(pairs):
     """Root mean square error over (actual, predicted) pairs.
 
-    sqrt(sum of squared residuals / N); the list must be non-empty.
+    sqrt(sum of squared residuals / N); the list must be non-empty.  The sum is
+    numpy's own, not a BLAS dot, so it does not depend on the BLAS thread count.
     """
     arr = np.asarray(pairs, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("rmse needs at least one pair")
     arr = arr.reshape(-1, 2)
     residuals = arr[:, 0] - arr[:, 1]
-    return float(np.sqrt(residuals @ residuals / len(residuals)))
+    return float(np.sqrt((residuals * residuals).sum() / len(residuals)))
 
 
 @dataclass
@@ -142,13 +143,16 @@ def write_reports(reports, path):
 
 
 def read_reports(path):
-    """Reports from ``write_reports``' file; a malformed record raises DataFormatError."""
+    """Reports from ``write_reports``' file; a malformed record or non-UTF-8 text raises DataFormatError."""
     reports = []
     with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    reports.append(EvalReport.from_line(line))
-                except ValueError:
-                    raise DataFormatError(path, line_no, "expected tag, rmse, count and seed") from None
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if line.strip():
+                    try:
+                        reports.append(EvalReport.from_line(line))
+                    except ValueError:
+                        raise DataFormatError(path, line_no, "expected tag, rmse, count and seed") from None
+        except UnicodeDecodeError as exc:
+            raise decode_error(path, exc) from None
     return reports

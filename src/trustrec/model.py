@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scatter import add_rows
 from .serialize import load_checkpoint, save_checkpoint
 
 # Trust pairs per block in the objective's trust term: two gathered
@@ -256,28 +255,24 @@ def gradients(params, ctx, hp):
     a = params.P[:, users] + params.W[:, None] * Xg
     err = (a * params.Q[:, items]).sum(axis=0) - train.values
 
-    gP = np.zeros((params.num_users, params.k))
-    add_rows(gP, users, (err * params.Q[:, items]).T)
-    gP = gP.T + hp.lam_p * params.P
+    gP = np.zeros_like(params.P)
+    np.add.at(gP, (slice(None), users), err * params.Q[:, items])
+    gP += hp.lam_p * params.P
 
-    gQ = np.zeros((params.num_items, params.k))
-    add_rows(gQ, items, (err * a).T)
-    gQ = gQ.T + hp.lam_q * params.Q
+    gQ = np.zeros_like(params.Q)
+    np.add.at(gQ, (slice(None), items), err * a)
+    gQ += hp.lam_q * params.Q
 
     gW = (Xg * params.Q[:, items]) @ err + hp.lam_w * params.W
 
-    if len(ctx.pair_u):
-        diff = hp.lam_t * ctx.pair_t * (params.P[:, ctx.pair_u] - params.P[:, ctx.pair_v])
-        scatter = np.zeros((params.num_users, params.k))
-        add_rows(scatter, ctx.pair_u, diff.T)
-        add_rows(scatter, ctx.pair_v, -diff.T)
-        gP += scatter.T
-    if len(ctx.members):
-        diff = hp.lam_c * (params.P[:, ctx.members] - params.P[:, ctx.heads])
-        scatter = np.zeros((params.num_users, params.k))
-        add_rows(scatter, ctx.members, diff.T)
-        add_rows(scatter, ctx.heads, -diff.T)
-        gP += scatter.T
+    # trust pairs pull with weight λ_t·t, members toward their leaders with λ_c
+    for weight, near, far in ((hp.lam_t * ctx.pair_t, ctx.pair_u, ctx.pair_v), (hp.lam_c, ctx.members, ctx.heads)):
+        if len(near):
+            diff = weight * (params.P[:, near] - params.P[:, far])
+            pull = np.zeros_like(params.P)
+            np.add.at(pull, (slice(None), near), diff)
+            np.add.at(pull, (slice(None), far), -diff)
+            gP += pull
     return gP, gQ, gW
 
 

@@ -720,7 +720,7 @@ class TestPipeline:
             fh.write(b"\xff\n")
         argv = ["--work", str(tmp_path), "report"] if name == "report.txt" else ["--config", config, "prepare"]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / name}:")
 
     def test_report_with_missing_file_exits_2(self, tmp_path):
         assert main(["--work", str(tmp_path), "report"]) == 2

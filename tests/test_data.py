@@ -60,6 +60,19 @@ class TestLoadRatings:
                 load_ratings(path)
             assert info.value.line_no == 2
 
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n"])
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, end):
+        # past text mode's 8 KB read-ahead, so the line being read when the
+        # decoder fails is not the one holding the bad byte
+        path = tmp_path / "r.txt"
+        lines = [b"%d,%d,%d" % (u, u % 7, 1 + u % 5) for u in range(3000)]
+        lines.insert(2000, b"1,2,\xff")
+        path.write_bytes(end.join(lines) + end)
+        assert path.stat().st_size > 8192
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:2001: .*byte 0xff") as info:
+            load_ratings(path)
+        assert info.value.line_no == 2001
+
     def test_rating_outside_scale_rejected(self, tmp_path):
         path = tmp_path / "r.txt"
         path.write_text("0,0,9\n")

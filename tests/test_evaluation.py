@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -49,6 +51,22 @@ class TestRmse:
         c = -2.5
         scaled = rmse(list(zip(c * actual, c * predicted)))
         assert scaled == pytest.approx(abs(c) * base, rel=1e-12)
+
+    def test_independent_of_the_blas_thread_count(self):
+        # OpenBLAS splits a dot product of this length across its threads,
+        # which reorders the sum; at seed 1 a BLAS dot moves the last digit.
+        script = (
+            "import numpy as np; from trustrec.evaluation import rmse; "
+            "print(repr(rmse(np.random.default_rng(1).uniform(1, 5, size=(200_000, 2)))))"
+        )
+        src = os.path.dirname(os.path.dirname(evaluation.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestEvaluate:

@@ -50,7 +50,7 @@ CLI_PINS = {
     "embeddings.ckpt": "e977e1a5319a5cb42a39685c7cac12abe6b96fd70b6491af965e0abd1f074d2a",
     "model.ckpt": "881f9bd0484ea6d23d2d49fbc6e86be544c1972fc736ccebd809551a6cc65ca2",
     "objective.log": "44956df4d53c4712631b7ae65ffcf97ebec717f97745cf5cecff2e6b23e57e8a",
-    "report.txt": "6dd4eacc479fa41c870999e22c3b5f0baae98deac15233a96d81f5bf686fac0f",
+    "report.txt": "544e368d9b85fafc685cbc96232cd9b33cf58d10caaea62c18c5174387c483c1",
 }
 
 LIBRARY_PINS = {

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trustrec.scatter import add_rows
+from trustrec.embed import _add_rows
 
 
 class TestAddRows:
@@ -12,7 +12,7 @@ class TestAddRows:
         values = rng.normal(size=(200, 4)) * 10.0 ** rng.integers(-8, 8, size=(200, 1))
         expected = target.copy()
         np.add.at(expected, rows, values)
-        add_rows(target, rows, values)
+        _add_rows(target, rows, values)
         np.testing.assert_array_equal(target, expected)
 
     def test_accepts_transposed_values(self):
@@ -22,9 +22,9 @@ class TestAddRows:
         expected = np.zeros((5, 3))
         np.add.at(expected, rows, values)
         target = np.zeros((5, 3))
-        add_rows(target, rows, values)
+        _add_rows(target, rows, values)
         np.testing.assert_array_equal(target, expected)
 
     def test_rejects_a_non_contiguous_target(self):
         with pytest.raises(ValueError):
-            add_rows(np.zeros((3, 4)).T, np.array([0]), np.ones((1, 3)))
+            _add_rows(np.zeros((3, 4)).T, np.array([0]), np.ones((1, 3)))
