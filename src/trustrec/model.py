@@ -18,11 +18,6 @@ import numpy as np
 
 from .serialize import load_checkpoint, save_checkpoint
 
-# Trust pairs per block in the objective's trust term: two gathered
-# (block, k) operands of 320 KB each at k = 10 stay in L2 cache; blocks of
-# 1024 and 16384 ran about 25% slower on a 2-core x86 machine.
-_PAIR_BLOCK = 4096
-
 # The social operator is a dense array once its edge entries fill a third of
 # the m × m matrix.  On random symmetric operators at k = 10, one thread of a
 # 2-core x86 machine, a level's gather L[u] @ Pᵀ ran 1.9–4.3× faster dense
@@ -30,6 +25,14 @@ _PAIR_BLOCK = 4096
 # level, but for m = 2000 and 355 users a level dense lost up to density 0.33
 # and won 1.4× at 0.39: a third is where both shapes agree.
 _DENSE_SHARE = 3
+
+# Users per column block of a dense operator's product with Pᵀ.  OpenBLAS
+# may split a longer reduction across its threads, which reorders the sum.
+# With OpenBLAS 0.3.31 on a 2-core x86 machine, for m from 1000 to 3000
+# users and m/8 gathered rows, an unblocked L[u] @ Pᵀ read different bits
+# under 1 and 2 threads at all 10 shapes tried; blocks of 256 or 384 columns
+# agreed at all 10, and blocks of 512 differed at 3.
+_K_BLOCK = 256
 
 
 @dataclass
@@ -99,9 +102,11 @@ class TrainingContext:
     ``trust``, ``embeddings`` and ``leaders`` may each be None, which disables
     the corresponding objective term; this is how the ablation variants are
     expressed.  Building a context checks that its parts agree on the user
-    count and keeps the flat arrays that the objective and SGD read: the
-    inverse rating counts, the trust pairs, and the community members other
-    than the leaders with their ``heads``, empty where a part is None.
+    count and keeps the flat arrays that training reads: the inverse rating
+    counts, the trust pairs, and the community members other than the
+    leaders with their ``heads``, empty where a part is None.  The pairs and
+    members build ``social_operator``, through which the objective and SGD
+    read the trust and leader terms; ``gradients`` reads them pair by pair.
     """
 
     train: "RatingMatrix"
@@ -150,15 +155,15 @@ class TrainingContext:
         return np.asarray(self.embeddings, dtype=np.float64)
 
     def social_operator(self, lam_t, lam_c):
-        """L with (L Pᵀ)[u] the trust-plus-leader part of ∂objective/∂P_u.
+        """L with ½·tr(P L Pᵀ) the objective's trust-plus-leader term, L Pᵀ its ∂/∂Pᵀ.
 
         L = λ_t·(Laplacian of the pairs as undirected edges of weight t_uv)
         + λ_c·(Laplacian of the member–leader edges), built once per context
         and weight pair and kept; None when it has no nonzero entries.  Its
         form follows its edge entries e, both directions of each edge:
         a dense (m, m) float64 array when _DENSE_SHARE·e ≥ m², where the
-        entries alone take as much memory, else a scipy CSR matrix.  Both
-        give L[u] @ Pᵀ for an index array u.
+        entries alone take as much memory, else a scipy CSR matrix.
+        ``_social_product`` makes L[u] @ Pᵀ from either form.
         """
         key = (lam_t, lam_c)
         if key not in self._social:
@@ -184,6 +189,22 @@ class TrainingContext:
         return self._social[key]
 
 
+def _social_product(op, Pt, rows=None):
+    """op[rows] @ Pt for a social operator, all rows when ``rows`` is None.
+
+    A dense operator's product is summed over column blocks of _K_BLOCK
+    users, in a fixed order, so that its bits do not depend on the BLAS
+    thread count; a CSR operator's is scipy's product.
+    """
+    part = op if rows is None else op[rows]
+    if not isinstance(op, np.ndarray):
+        return part @ Pt
+    out = part[:, :_K_BLOCK] @ Pt[:_K_BLOCK]
+    for s in range(_K_BLOCK, len(Pt), _K_BLOCK):
+        out += part[:, s : s + _K_BLOCK] @ Pt[s : s + _K_BLOCK]
+    return out
+
+
 def predict(params, embeddings, users, items):
     """Raw predicted ratings (P_u + W ⊙ X_u)ᵀ Q_i for parallel index arrays.
 
@@ -205,9 +226,10 @@ def predict(params, embeddings, users, items):
 def objective(params, ctx, hp):
     """Full training objective over the context's train split.
 
-    Squared-error term plus ridge penalties on P, Q, W, the propagated-trust
-    smoothing term over directed trust pairs, and the community-leader term
-    over non-leader members.
+    Squared-error term plus ridge penalties on P, Q, W, and the trust and
+    community-leader terms as one Laplacian quadratic form ½·tr(P L Pᵀ), with
+    L the context's social operator: Σ over directed trust pairs of
+    ½λ_t·t_uv‖P_u − P_v‖² plus Σ over non-leader members of ½λ_c‖P_u − P_lead‖².
     """
     train = ctx.train
     err = predict(params, ctx.embeddings, train.users, train.items) - train.values
@@ -215,36 +237,11 @@ def objective(params, ctx, hp):
     total += 0.5 * hp.lam_p * (params.P * params.P).sum()
     total += 0.5 * hp.lam_q * (params.Q * params.Q).sum()
     total += 0.5 * hp.lam_w * (params.W * params.W).sum()
-    if len(ctx.pair_u):
-        total += 0.5 * hp.lam_t * _trust_term(params.P, ctx.pair_u, ctx.pair_v, ctx.pair_t)
-    if len(ctx.members):
-        diff = params.P[:, ctx.members] - params.P[:, ctx.heads]
-        total += 0.5 * hp.lam_c * (diff * diff).sum()
+    social = ctx.social_operator(hp.lam_t, hp.lam_c)
+    if social is not None:
+        Pt = np.ascontiguousarray(params.P.T)
+        total += 0.5 * (Pt * _social_product(social, Pt)).sum()
     return float(total)
-
-
-def _trust_term(P, pair_u, pair_v, pair_t):
-    """Σ_j t_j ‖P_u_j − P_v_j‖², with the per-pair sums built _PAIR_BLOCK at a time.
-
-    The whole-array gather ``P[:, u] - P[:, v]`` is Fortran-ordered, so its
-    ``.sum(axis=0)`` reduces each pair's k contiguous squares just as a row
-    sum of a (block, k) C-ordered block does; the weighted vector is then
-    summed whole.  The value is bit-equal to that expression at any block size.
-    """
-    rows = np.ascontiguousarray(P.T)  # one user's factors per contiguous row
-    width = min(_PAIR_BLOCK, len(pair_t))
-    a, b = np.empty((width, P.shape[0])), np.empty((width, P.shape[0]))
-    d = np.empty(len(pair_t))
-    for s in range(0, len(pair_t), _PAIR_BLOCK):
-        e = min(s + _PAIR_BLOCK, len(pair_t))
-        x, y = a[: e - s], b[: e - s]
-        np.take(rows, pair_u[s:e], axis=0, out=x)
-        np.take(rows, pair_v[s:e], axis=0, out=y)
-        np.subtract(x, y, out=x)
-        np.multiply(x, x, out=x)
-        x.sum(axis=1, out=d[s:e])
-    np.multiply(pair_t, d, out=d)
-    return d.sum()
 
 
 def gradients(params, ctx, hp):
@@ -303,7 +300,7 @@ def sgd_epoch(params, ctx, hp, rng=None):
     Each conflict-free level of the order is one vectorized step that moves
     its ratings' P_u and Q_i by their gradients at the level-start values;
     trust/leader partners come from one product L[u] @ Pᵀ with the social
-    operator L.  The Q step is guarded: a rating's error e enters Q_i's
+    operator L, made as ``objective`` makes L Pᵀ.  The Q step is guarded: a rating's error e enters Q_i's
     gradient as e / max(1, lr·‖a‖²), a = P_u + W ⊙ X_u, so a step never runs
     past the squared error's stability bound lr·‖a‖² < 2, as it can once a
     level's W step has grown a, and is the plain step while lr·‖a‖² ≤ 1.
@@ -335,7 +332,7 @@ def sgd_epoch(params, ctx, hp, rng=None):
         e = np.einsum("bk,bk->b", a, qi) - values[s]
         gp = e[:, None] * qi + (hp.lam_p * ctx.inv_user[u])[:, None] * pu
         if social is not None:
-            gp += ctx.inv_user[u, None] * (social[u] @ Pt)
+            gp += ctx.inv_user[u, None] * _social_product(social, Pt, u)
         damped = e / np.maximum(1.0, lr * np.einsum("bk,bk->b", a, a))
         gq = damped[:, None] * a + (hp.lam_q * ctx.inv_item[i])[:, None] * qi
         if ctx.embeddings is not None:

@@ -271,6 +271,32 @@ def plain_mf_objective(P, Q, users, items, values, lam_p, lam_q):
     return total
 
 
+def reference_objective(params, ctx, hp):
+    """The training objective written term by term, one rating, trust pair
+    and community member at a time: squared error, the three ridges, then
+    ½λ_t·t‖P_u − P_v‖² over the directed trust pairs and ½λ_c‖P_u − P_lead‖²
+    over the members that do not lead their community."""
+    P, Q, W = params.P, params.Q, params.W
+    train = ctx.train
+    total = 0.0
+    for u, i, r in zip(train.users, train.items, train.values):
+        a = P[:, u] if ctx.embeddings is None else P[:, u] + W * ctx.embeddings[u]
+        total += 0.5 * (float(a @ Q[:, i]) - r) ** 2
+    total += 0.5 * hp.lam_p * float((P * P).sum())
+    total += 0.5 * hp.lam_q * float((Q * Q).sum())
+    total += 0.5 * hp.lam_w * float((W * W).sum())
+    if ctx.trust is not None:
+        for u, v, t in zip(ctx.trust.truster, ctx.trust.trustee, ctx.trust.values):
+            diff = P[:, u] - P[:, v]
+            total += 0.5 * hp.lam_t * t * float(diff @ diff)
+    if ctx.leaders is not None:
+        for member, head in enumerate(ctx.leaders.user_leaders()):
+            if head >= 0:
+                diff = P[:, member] - P[:, head]
+                total += 0.5 * hp.lam_c * float(diff @ diff)
+    return total
+
+
 def reference_walks(adjacency, config, nodes=None):
     """Biased walks drawn one node and one step at a time.
 

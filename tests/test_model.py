@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from dataclasses import replace
 
@@ -24,7 +28,13 @@ from trustrec.model import (
 )
 from trustrec.synth import planted_factors
 
-from oracles import central_difference, gradient_gap, plain_mf_objective, reference_sgd_epoch
+from oracles import (
+    central_difference,
+    gradient_gap,
+    plain_mf_objective,
+    reference_objective,
+    reference_sgd_epoch,
+)
 
 
 # (_DENSE_SHARE, the operator type it forces) for each form
@@ -230,37 +240,48 @@ class TestTrustTermBlocks:
         params = ModelParams(rng.normal(size=(k, m)), rng.normal(size=(k, 3)), rng.normal(size=k))
         return params, ratings, trust
 
-    @pytest.mark.parametrize("block", [model_module._PAIR_BLOCK, 7])
-    @pytest.mark.parametrize("k", [3, 10])
-    def test_bit_equal_to_unchunked_sum(self, monkeypatch, block, k):
-        monkeypatch.setattr(model_module, "_PAIR_BLOCK", block)
-        rng = np.random.default_rng(k)
-        for num_pairs in (0, 1, block - 1, block, block + 1, 3 * block + 5):
-            params, ratings, trust = self.trust_case(rng, num_pairs, k)
-            hp = plain_hp(k=k, lam_p=0.1, lam_q=0.2, lam_t=0.3)
-            without = objective(params, TrainingContext(train=ratings), hp)
-            expected = without
-            if num_pairs:
-                diff = params.P[:, trust.truster] - params.P[:, trust.trustee]
-                expected = without + 0.5 * 0.3 * (trust.values * (diff * diff).sum(axis=0)).sum()
-            got = objective(params, TrainingContext(train=ratings, trust=trust), hp)
-            assert got == expected, f"{num_pairs} pairs"
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_the_reference_objective(self, make_context, monkeypatch, seed):
+        # blocks of 7 users, so a dense operator's product spans several
+        # blocks at these sizes; trust has reciprocal pairs at density 0.4,
+        # some zero values, and every community head leads itself
+        monkeypatch.setattr(model_module, "_K_BLOCK", 7)
+        rng = np.random.default_rng(seed)
+        m, n, k = int(rng.integers(5, 31)), int(rng.integers(3, 12)), int(rng.integers(1, 6))
+        ctx = make_context(rng, m, n, k)
+        values = np.where(rng.random(len(ctx.pair_t)) < 0.2, 0.0, ctx.pair_t)
+        ctx = replace(ctx, trust=PropagatedTrust(ctx.pair_u, ctx.pair_v, values, m))
+        lam_t, lam_c = rng.choice([0.0, 0.3, 2.0], size=2)
+        hp = HyperParams(k=k, lam_p=0.11, lam_q=0.07, lam_w=0.05, lam_t=lam_t, lam_c=lam_c)
+        params = ModelParams(rng.normal(size=(k, m)), rng.normal(size=(k, n)), rng.normal(size=k))
+        want = reference_objective(params, ctx, hp)
+        for share, form in DENSE_AND_SPARSE:
+            monkeypatch.setattr(model_module, "_DENSE_SHARE", share)
+            fresh = replace(ctx)
+            op = fresh.social_operator(lam_t, lam_c)
+            assert op is None or isinstance(op, form)
+            assert objective(params, fresh, hp) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_trust_term_memory_is_per_pair_scalar(self):
-        # unchunked, the term built two gathered k × pairs arrays, their
-        # difference and its square, three of them alive at once (92 MB here)
-        num_pairs, k = 400_000, 10
-        params, ratings, trust = self.trust_case(np.random.default_rng(0), num_pairs, k, m=1000)
+        # The operator's build holds a few scalars per pair entry and the
+        # dense m × m array; once built, the objective holds O(m·k + N), not
+        # k-wide gathers per pair (92 MB here with all pairs at once).
+        num_pairs, k, m = 400_000, 10, 1000
+        params, ratings, trust = self.trust_case(np.random.default_rng(0), num_pairs, k, m=m)
         ctx = TrainingContext(train=ratings, trust=trust)
         hp = plain_hp(k=k, lam_t=0.3)
-        tracemalloc.start()
-        try:
-            objective(params, ctx, hp)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        unchunked_mb = 4 * k * 8 * num_pairs / 2**20
-        assert peak < 2 * 8 * num_pairs, f"peak {peak / 2**20:.1f} MB against {unchunked_mb:.0f} MB unchunked"
+        peaks = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                objective(params, ctx, hp)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        build, own = peaks
+        assert isinstance(ctx.social_operator(0.3, 0.0), np.ndarray)
+        assert build < 8 * (2 * m * m + 8 * num_pairs), f"build peak {build / 2**20:.1f} MB"
+        assert own < 8 * 8 * (m * k + len(ratings)), f"peak {own / 2**20:.2f} MB"
 
 
 class TestGradients:
@@ -544,6 +565,48 @@ class TestLevelScheduledEpoch:
             out.append(params)
         for got, want in zip((out[0].P, out[0].Q, out[0].W), (out[1].P, out[1].Q, out[1].W)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_independent_of_the_blas_thread_count(self):
+        # OpenBLAS may split a long reduction across its threads, which
+        # reorders the sum.  A dense operator of 1500 users gave different
+        # P and Q under 1 and 2 threads when its product reduced over all
+        # users at once.  The second epoch runs one conflict-free level of
+        # 20,000 ratings with embeddings, so the W step's ZᵀZ and Zᵀ(e − ZW)
+        # reduce over 20,000 rows: the largest level of ROADMAP's workload M.
+        script = textwrap.dedent("""\
+            import hashlib
+            import numpy as np
+            from trustrec.data import RatingMatrix
+            from trustrec.graph import PropagatedTrust
+            from trustrec.model import HyperParams, ModelParams, TrainingContext, objective, sgd_epoch
+
+            def run(ctx, m, n):
+                hp = HyperParams(k=10, learning_rate=0.01, seed=3)
+                start = ModelParams(rng.normal(0, 0.1, (10, m)), rng.normal(0, 0.1, (10, n)), rng.normal(0, 0.1, 10))
+                out = sgd_epoch(start, ctx, hp)
+                arrays = b"".join(a.tobytes() for a in (out.P, out.Q, out.W))
+                print(type(ctx.social_operator(hp.lam_t, hp.lam_c)).__name__, hashlib.sha256(arrays).hexdigest(),
+                      repr(objective(out, ctx, hp)))
+
+            rng = np.random.default_rng(0)
+            m, n, pairs = 1500, 400, 1500 * 1500 // 3
+            flat = np.unique(np.repeat(np.arange(m), 12) * n + rng.integers(0, n, 12 * m))
+            ratings = RatingMatrix(m, n, flat // n, flat % n, rng.uniform(1, 5, len(flat))).validate()
+            trust = PropagatedTrust(rng.integers(0, m, pairs), rng.integers(0, m, pairs), rng.uniform(0.1, 1, pairs), m)
+            run(TrainingContext(train=ratings, trust=trust), m, n)
+            b = 20_000
+            level = RatingMatrix(b, b, np.arange(b), rng.permutation(b), rng.uniform(1, 5, b)).validate()
+            run(TrainingContext(train=level, embeddings=rng.normal(0, 0.3, (b, 10))), b, b)
+        """)
+        src = os.path.dirname(os.path.dirname(model_module.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0].split()[::3] == ["ndarray", "NoneType"]
+        assert outputs[0] == outputs[1]
 
     def test_q_step_is_guarded(self):
         # one rating, so P's step and Q's step both read the start values

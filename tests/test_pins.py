@@ -49,7 +49,7 @@ CLI_PINS = {
     "graph.ckpt": "843b210e9fb82b88dd50d42f634e9e8963fc053d218b68a92c4c1648b2a804ad",
     "embeddings.ckpt": "e977e1a5319a5cb42a39685c7cac12abe6b96fd70b6491af965e0abd1f074d2a",
     "model.ckpt": "881f9bd0484ea6d23d2d49fbc6e86be544c1972fc736ccebd809551a6cc65ca2",
-    "objective.log": "44956df4d53c4712631b7ae65ffcf97ebec717f97745cf5cecff2e6b23e57e8a",
+    "objective.log": "f3176d0b44f15fdd53b6019da78a41106e8a4882246c683a06b8e9db40ae196c",
     "report.txt": "544e368d9b85fafc685cbc96232cd9b33cf58d10caaea62c18c5174387c483c1",
 }
 
@@ -61,7 +61,7 @@ LIBRARY_PINS = {
     "propagated": "096a71a9a7c929000f0ff8ffcc410eebb71865da57785576ab4a5c4b17cf7840",
     "walks": "648597d849eaa05873436d84fd8c215f39cbe0b47d0bbc4ef194b7e56aa5942f",
     "embeddings": "9f6f7a1022165907565febb5224d3e2634b88a8f74e83e16c23a1fca7b9040d2",
-    "model": "c5b56da4d566fdc53ae57eecd4a0a512f09bbad37e212a9c4cf070c4f8a33763",
+    "model": "d6304423476839069e3321cf8597c0f60ee109e8f9af7574a1a2bd6bd5321152",
 }
 
 
